@@ -2,7 +2,7 @@
 metrics, and LAN transfer of stego files."""
 
 from .cipher import SealedPayload, derive_key_material, seal, unseal
-from .container import AudioCarrier, CarrierKind, FormatInfo, parse_carrier, samples_16, serialize
+from .container import AudioCarrier, CarrierKind, FormatInfo, parse_carrier, samples_16
 from .errors import StegoStreamError
 from .quality import QualityReport, bitplane_diff, segmental_snr, waveform_compare
 from .stego import (
@@ -21,7 +21,7 @@ from .stego import (
     required_size,
     write_bit,
 )
-from .transfer import FileReceiver, send_file, serve
+from .transfer import FileReceiver, send_file
 
 __version__ = "0.1.0"
 
@@ -53,8 +53,6 @@ __all__ = [
     "seal",
     "segmental_snr",
     "send_file",
-    "serialize",
-    "serve",
     "unseal",
     "waveform_compare",
     "write_bit",

@@ -15,33 +15,7 @@ from pathlib import Path
 
 from . import container, quality, stego, transfer
 from .cipher import seal
-from .errors import (
-    BindFailed,
-    CapacityExceeded,
-    CarrierTooSmall,
-    ConnectFailed,
-    EmptyInput,
-    EmptyPassphrase,
-    HeaderExceedsFile,
-    LengthMismatch,
-    MalformedRiff,
-    MessageTooLarge,
-    RemoteRejected,
-    SizeImplausible,
-    StegoStreamError,
-    TooShort,
-    TransferIoError,
-    UnknownFormat,
-    UnsupportedDepth,
-)
-
-_EXIT_CODES = (
-    ((CapacityExceeded, MessageTooLarge), 2),
-    ((MalformedRiff, UnknownFormat, HeaderExceedsFile, UnsupportedDepth,
-      LengthMismatch, TooShort, EmptyInput), 3),
-    ((ConnectFailed, RemoteRejected, TransferIoError, BindFailed), 4),
-    ((SizeImplausible, CarrierTooSmall), 5),
-)
+from .errors import CapacityExceeded, EmptyPassphrase, StegoStreamError, TooShort
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,13 +23,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _exit_code_for(exc: StegoStreamError) -> int:
-    for types, code in _EXIT_CODES:
-        if isinstance(exc, types):
-            return code
-    return 1
 
 
 def _passphrase(args) -> str:
@@ -91,7 +58,7 @@ def _cmd_embed(args) -> int:
     mode = _choose_mode(carrier, len(message), args.mode)
     payload = seal(message, stego.code_for_extension(message_path.suffix), _passphrase(args))
     result = stego.embed(carrier, payload, mode)
-    Path(args.out).write_bytes(container.serialize(result))
+    Path(args.out).write_bytes(result.data)
     print(f"mode={mode.value}")
     print(f"message_bytes={len(message)}")
     print(f"out={args.out}")
@@ -117,7 +84,7 @@ def _cmd_delete(args) -> int:
     # but never prompt for a value nothing will check
     key = os.environ.get(args.key_env, "") if args.key_env else ""
     result = stego.delete_message(carrier, key)
-    Path(args.out).write_bytes(container.serialize(result))
+    Path(args.out).write_bytes(result.data)
     print(f"out={args.out}")
     return 0
 
@@ -293,7 +260,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except StegoStreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Audio carrier parsing and re-serialization.
+"""Audio carrier parsing.
 
 WAV files are walked chunk by chunk (``fmt ``, ``data``, anything else is
 skipped by its declared size) to find where the audio payload starts. All
@@ -137,11 +137,6 @@ def _parse_wav(data: bytes) -> AudioCarrier:
         data_len=data_len,
     )
     return AudioCarrier(data=data, header_len=data_offset, format=fmt)
-
-
-def serialize(carrier: AudioCarrier) -> bytes:
-    """Return the full file byte sequence (identity for unmodified carriers)."""
-    return bytes(carrier.data)
 
 
 def samples_16(carrier: AudioCarrier) -> np.ndarray:

@@ -7,8 +7,12 @@ and reserves 21, doubling capacity at the cost of more distortion. The
 ciphertext is split into a head half (first ``ceil(m/2)`` bytes) and a
 tail half that are written as two parallel bit streams.
 
-Offsets below are relative to the protected header length ``h``; every
-field and message byte is written MSB-first:
+Every field of both layouts is a lane: a strided run of carrier bytes in
+one bit plane. `EmbedPlan.lanes()` lists them in stream order, and the
+bit stream is the flag bit, the type byte, the 32-bit size and then the
+ciphertext, each MSB-first. Embed, extract, inspect and delete all work
+from that one table. Offsets below are relative to the protected header
+length ``h``:
 
     Regular (flag LSB = 1)               Excessive (flag LSB = 0)
     h           flag bit                 h           flag bit
@@ -24,6 +28,7 @@ file decodes noise, and implausible sizes are the only rejection signal.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +138,19 @@ def extension_for_code(code: int) -> str:
 # -- layout planning ----------------------------------------------------------
 
 @dataclass(frozen=True)
+class Lane:
+    """`count` stream bits in one plane of the bytes start, start+stride, ..."""
+
+    start: int
+    stride: int
+    count: int
+    plane: int
+
+    def view(self, arr: np.ndarray) -> np.ndarray:
+        return arr[self.start : self.start + self.stride * self.count : self.stride]
+
+
+@dataclass(frozen=True)
 class EmbedPlan:
     """Resolved byte offsets for one embed of `message_len` ciphertext bytes."""
 
@@ -151,36 +169,24 @@ class EmbedPlan:
         """Carrier bytes covered by the payload region, full strides."""
         return self.mode.head_byte_span * self.head_len
 
-    @property
-    def tail_plane(self) -> int:
-        return PLANE_LSB if self.mode is StegoMode.REGULAR else PLANE_SEVENTH
-
-    def type_slots(self) -> list[tuple[int, int]]:
-        """(offset, plane) per type-byte bit, MSB first."""
-        return _field_slots(self.type_field_range, self.mode)
-
-    def size_slots(self) -> list[tuple[int, int]]:
-        """(offset, plane) per size-field bit, MSB first."""
-        return _field_slots(self.size_field_range, self.mode)
-
-    def head_offsets(self) -> np.ndarray:
-        bit_count = 8 * self.head_len
+    def lanes(self) -> list[Lane]:
+        """The layout's lanes in stream order: flag, type, size, head, tail."""
+        base = self.payload_base
+        head_bits, tail_bits = 8 * self.head_len, 8 * self.tail_len
         if self.mode is StegoMode.REGULAR:
-            return self.payload_base + 2 * np.arange(bit_count, dtype=np.intp)
-        return self.payload_base + np.arange(bit_count, dtype=np.intp)
-
-    def tail_offsets(self) -> np.ndarray:
-        bit_count = 8 * self.tail_len
-        if self.mode is StegoMode.REGULAR:
-            return self.payload_base + 1 + 2 * np.arange(bit_count, dtype=np.intp)
-        return self.payload_base + np.arange(bit_count, dtype=np.intp)
-
-
-def _field_slots(field_range: range, mode: StegoMode) -> list[tuple[int, int]]:
-    slots = [(offset, PLANE_LSB) for offset in field_range]
-    if mode is StegoMode.EXCESSIVE:
-        slots += [(offset, PLANE_SEVENTH) for offset in field_range]
-    return slots
+            return [
+                Lane(self.flag_offset, 1, self.mode.reserved_bytes, PLANE_LSB),
+                Lane(base, 2, head_bits, PLANE_LSB),
+                Lane(base + 1, 2, tail_bits, PLANE_LSB),
+            ]
+        return [
+            Lane(self.flag_offset, 1, 1, PLANE_LSB),
+            *(Lane(field.start, 1, len(field), plane)
+              for field in (self.type_field_range, self.size_field_range)
+              for plane in (PLANE_LSB, PLANE_SEVENTH)),
+            Lane(base, 1, head_bits, PLANE_LSB),
+            Lane(base, 1, tail_bits, PLANE_SEVENTH),
+        ]
 
 
 def plan_embed(header_len: int, message_len: int, mode: StegoMode) -> EmbedPlan:
@@ -220,33 +226,34 @@ def capacity(carrier: AudioCarrier, mode: StegoMode) -> int:
     return min(2 * (room // mode.head_byte_span), MAX_MESSAGE_BYTES)
 
 
-# -- bit stream plumbing ------------------------------------------------------
+# -- lane I/O ----------------------------------------------------------------
 
-def _write_field(buf: bytearray, slots: list[tuple[int, int]], value: int, width: int):
-    for i, (offset, plane) in enumerate(slots):
-        bit = (value >> (width - 1 - i)) & 1
-        buf[offset] = write_bit(buf[offset], plane, bit)
-
-
-def _read_field(data: bytes, slots: list[tuple[int, int]]) -> int:
-    value = 0
-    for offset, plane in slots:
-        value = (value << 1) | read_bit(data[offset], plane)
-    return value
+# the stream is struct.pack(">BBI", flag, type, size) + ciphertext with the
+# flag byte's 7 high (always zero) bits dropped
+_STREAM_PAD_BITS = 7
+_STREAM_HEADER = struct.Struct(">BBI")
 
 
-def _write_stream(arr: np.ndarray, offsets: np.ndarray, plane: int, chunk: bytes):
-    if not chunk:
-        return
-    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))
-    keep = np.uint8(0xFF ^ (1 << plane))
-    arr[offsets] = (arr[offsets] & keep) | (bits << plane).astype(np.uint8)
+def _write_lanes(arr: np.ndarray, lanes: list[Lane], stream: bytes):
+    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[_STREAM_PAD_BITS:]
+    pos = 0
+    for lane in lanes:
+        chunk = bits[pos : pos + lane.count]
+        chunk <<= lane.plane
+        view = lane.view(arr)
+        view &= np.uint8(0xFF ^ (1 << lane.plane))
+        view |= chunk
+        pos += lane.count
 
 
-def _read_stream(arr: np.ndarray, offsets: np.ndarray, plane: int) -> bytes:
-    if offsets.size == 0:
-        return b""
-    bits = (arr[offsets] >> plane) & 1
+def _read_lanes(arr: np.ndarray, lanes: list[Lane]) -> bytes:
+    bits = np.zeros(_STREAM_PAD_BITS + sum(lane.count for lane in lanes), dtype=np.uint8)
+    pos = _STREAM_PAD_BITS
+    for lane in lanes:
+        out = bits[pos : pos + lane.count]
+        np.right_shift(lane.view(arr), lane.plane, out=out)
+        out &= 1
+        pos += lane.count
     return np.packbits(bits).tobytes()
 
 
@@ -267,14 +274,8 @@ def embed(carrier: AudioCarrier, payload: SealedPayload, mode: StegoMode) -> Aud
             f"bytes, only {available} usable"
         )
     buf = bytearray(carrier.data)
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    buf[plan.flag_offset] = write_bit(buf[plan.flag_offset], PLANE_LSB, mode.flag_bit)
-    _write_field(buf, plan.type_slots(), payload.file_type_code, 8)
-    _write_field(buf, plan.size_slots(), payload.declared_size, 32)
-    head = payload.ciphertext[: plan.head_len]
-    tail = payload.ciphertext[plan.head_len :]
-    _write_stream(arr, plan.head_offsets(), PLANE_LSB, head)
-    _write_stream(arr, plan.tail_offsets(), plan.tail_plane, tail)
+    header = _STREAM_HEADER.pack(mode.flag_bit, payload.file_type_code, payload.declared_size)
+    _write_lanes(np.frombuffer(buf, dtype=np.uint8), plan.lanes(), header + payload.ciphertext)
     return carrier.with_data(bytes(buf))
 
 
@@ -294,9 +295,9 @@ def inspect_carrier(carrier: AudioCarrier) -> tuple[StegoMode, int, int]:
             f"carrier ends inside the {mode.value} metadata block "
             f"({limit - h} bytes past header, {mode.reserved_bytes} needed)"
         )
-    plan = plan_embed(h, 0, mode)
-    type_code = _read_field(carrier.data, plan.type_slots())
-    declared = _read_field(carrier.data, plan.size_slots())
+    arr = np.frombuffer(carrier.data, dtype=np.uint8)
+    stream = _read_lanes(arr, plan_embed(h, 0, mode).lanes())
+    _, type_code, declared = _STREAM_HEADER.unpack(stream)
     return mode, type_code, declared
 
 
@@ -311,10 +312,8 @@ def extract(carrier: AudioCarrier, passphrase: str) -> tuple[bytes, str]:
             f"declared size {declared} does not fit this carrier; no valid message"
         )
     plan = plan_embed(carrier.header_len, declared, mode)
-    arr = np.frombuffer(carrier.data, dtype=np.uint8)
-    head = _read_stream(arr, plan.head_offsets(), PLANE_LSB)
-    tail = _read_stream(arr, plan.tail_offsets(), plan.tail_plane)
-    payload = SealedPayload(head + tail, type_code, declared)
+    stream = _read_lanes(np.frombuffer(carrier.data, dtype=np.uint8), plan.lanes())
+    payload = SealedPayload(stream[_STREAM_HEADER.size :], type_code, declared)
     return unseal(payload, passphrase), extension_for_code(type_code)
 
 
@@ -335,13 +334,7 @@ def delete_message(carrier: AudioCarrier, passphrase: str = "") -> AudioCarrier:
     plan = plan_embed(carrier.header_len, declared, mode)
     buf = bytearray(carrier.data)
     arr = np.frombuffer(buf, dtype=np.uint8)
-    _zero_lsb(arr, plan.size_field_range.start, plan.size_field_range.stop)
-    _zero_lsb(arr, plan.payload_base, plan.payload_base + plan.payload_span)
-    buf[plan.flag_offset] = write_bit(buf[plan.flag_offset], PLANE_LSB, 0)
+    # the size field and the payload span are one contiguous run
+    arr[plan.size_field_range.start : plan.required_size] &= 0xFE
+    arr[plan.flag_offset] &= 0xFE
     return carrier.with_data(bytes(buf))
-
-
-def _zero_lsb(arr: np.ndarray, start: int, stop: int):
-    stop = min(stop, arr.size)  # ranges are clamped to the file end
-    if start < stop:
-        arr[start:stop] &= 0xFE

@@ -4,7 +4,7 @@ Wire format (big-endian lengths):
 
     magic     4 bytes  "STG1"
     name_len  u16      byte length of the UTF-8 file name (1..255)
-    name      bytes    no path separators
+    name      bytes    no path separators, control characters or leading dot
     body_len  u64      payload byte count
     body      bytes    file content
     checksum  u32      CRC-32 of the payload
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import socket
 import struct
 import tempfile
@@ -36,6 +37,7 @@ ACK_OK = b"\x00"
 ACK_REJECTED = b"\x01"
 MAX_NAME_BYTES = 255
 _CHUNK = 64 * 1024
+_CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f]")  # Unicode category Cc
 DEFAULT_TIMEOUT = 30.0
 
 
@@ -57,11 +59,12 @@ def encode_frame(name: str, payload: bytes) -> bytes:
 
 
 def _name_ok(name: str, name_bytes: bytes) -> bool:
-    if not 1 <= len(name_bytes) <= MAX_NAME_BYTES:
+    # a leading dot covers ".", ".." and the receiver's own temp prefix
+    if not 1 <= len(name_bytes) <= MAX_NAME_BYTES or name.startswith("."):
         return False
     if "/" in name or "\\" in name:
         return False
-    return name not in (".", "..")
+    return not _CONTROL_CHARS.search(name)
 
 
 def _recv_exact(conn: socket.socket, count: int) -> bytes | None:
@@ -243,14 +246,3 @@ class FileReceiver:
                 counter += 1
             os.replace(tmp_name, candidate)
         return candidate
-
-
-def serve(port: int, out_dir, host: str = "0.0.0.0"):
-    """Run a receiver on the calling thread until interrupted."""
-    receiver = FileReceiver(port, out_dir, host=host)
-    try:
-        receiver.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        receiver.stop()

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from stegostream import cli
+from stegostream import cli, stego
 from stegostream.container import parse_carrier
+from stegostream.errors import StegoStreamError
 from stegostream.stego import StegoMode, capacity, inspect_carrier
 
 from conftest import build_wav, pcm16_bytes
@@ -226,3 +227,24 @@ def test_send_unreachable_exits_four(tmp_path, capsys):
     payload.write_bytes(b"x")
     assert cli.run(["send", "--host", "127.0.0.1", "--port", "1", str(payload)]) == 4
     capsys.readouterr()
+
+
+_DOCUMENTED_EXIT_CODES = {
+    "EmptyPassphrase": 1, "EmptyMessage": 1,
+    "CapacityExceeded": 2, "MessageTooLarge": 2,
+    "MalformedRiff": 3, "UnknownFormat": 3, "HeaderExceedsFile": 3, "UnsupportedDepth": 3,
+    "LengthMismatch": 3, "TooShort": 3, "EmptyInput": 3,
+    "ConnectFailed": 4, "RemoteRejected": 4, "TransferIoError": 4, "BindFailed": 4,
+    "SizeImplausible": 5, "CarrierTooSmall": 5,
+}
+
+
+@pytest.mark.parametrize("error_type", StegoStreamError.__subclasses__(),
+                         ids=lambda error_type: error_type.__name__)
+def test_error_classes_carry_documented_exit_code(error_type, carrier_wav, monkeypatch, capsys):
+    def fail(*args):
+        raise error_type("boom")
+
+    monkeypatch.setattr(stego, "capacity", fail)
+    assert cli.run(["capacity", str(carrier_wav)]) == _DOCUMENTED_EXIT_CODES[error_type.__name__]
+    assert "error: boom" in capsys.readouterr().err

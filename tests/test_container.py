@@ -7,7 +7,6 @@ from stegostream.container import (
     CarrierKind,
     parse_carrier,
     samples_16,
-    serialize,
 )
 from stegostream.errors import (
     HeaderExceedsFile,
@@ -109,8 +108,8 @@ def test_zero_sample_rate_rejected():
 def test_round_trip_byte_identical(extra):
     wav = build_wav(bytes(range(200)) + bytes(56), **extra)
     carrier = parse_carrier(wav)
-    assert serialize(carrier) == wav
-    again = parse_carrier(serialize(carrier))
+    assert carrier.data == wav
+    again = parse_carrier(carrier.data)
     assert again.header_len == carrier.header_len
     assert again.data == carrier.data
 
@@ -120,7 +119,7 @@ def test_odd_data_chunk_pad_byte_outside_body():
     carrier = parse_carrier(wav)
     assert carrier.body_end == carrier.header_len + 3
     assert len(carrier.data) == carrier.body_end + 1  # pad byte after body
-    assert serialize(carrier) == wav
+    assert carrier.data == wav
 
 
 def test_trailing_chunks_outside_body():
@@ -135,7 +134,7 @@ def test_with_data_locality(canonical_wav):
     buf = bytearray(carrier.data)
     buf[50] ^= 0x01
     modified = carrier.with_data(bytes(buf))
-    diff = [i for i, (a, b) in enumerate(zip(canonical_wav, serialize(modified))) if a != b]
+    diff = [i for i, (a, b) in enumerate(zip(canonical_wav, modified.data)) if a != b]
     assert diff == [50]
     with pytest.raises(ValueError):
         carrier.with_data(b"too short")

@@ -80,22 +80,14 @@ def test_plan_split_and_disjointness(header_len, message_len, mode):
     assert plan.head_len - plan.tail_len in (0, 1)
     assert plan.head_len + plan.tail_len == message_len
 
-    flag = {plan.flag_offset}
-    type_offsets = set(plan.type_field_range)
-    size_offsets = set(plan.size_field_range)
-    payload_offsets = set(plan.head_offsets().tolist()) | set(plan.tail_offsets().tolist())
-    groups = [flag, type_offsets, size_offsets, payload_offsets]
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            assert not groups[i] & groups[j]
-
-    # payload slots are unique and stay inside the planned span
-    slots = [(off, 0) for off in plan.head_offsets().tolist()]
-    slots += [(off, plan.tail_plane) for off in plan.tail_offsets().tolist()]
-    assert len(slots) == len(set(slots)) == 8 * message_len
-    if payload_offsets:
-        assert min(payload_offsets) >= plan.payload_base
-        assert max(payload_offsets) < plan.payload_base + plan.payload_span
+    # one (offset, plane) slot per stream bit: flag, type, size, then payload
+    slots = [
+        (lane.start + lane.stride * i, lane.plane)
+        for lane in plan.lanes()
+        for i in range(lane.count)
+    ]
+    assert len(slots) == len(set(slots)) == 41 + 8 * message_len
+    assert all(plan.flag_offset <= offset < plan.required_size for offset, _ in slots)
     assert plan.required_size == plan.payload_base + plan.payload_span
 
 

@@ -30,13 +30,14 @@ def _digest(path):
 
 
 def _raw_exchange(port, blob):
-    # a dropped connection surfaces as EOF or a reset depending on timing
+    # a dropped connection surfaces as EOF, a reset or an already
+    # disconnected socket at shutdown, depending on timing
     with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
-        conn.sendall(blob)
-        conn.shutdown(socket.SHUT_WR)
         try:
+            conn.sendall(blob)
+            conn.shutdown(socket.SHUT_WR)
             return conn.recv(1)
-        except ConnectionResetError:
+        except OSError:
             return b""
 
 
@@ -115,22 +116,34 @@ def test_wrong_magic_dropped_without_ack(receiver, tmp_path):
     assert (inbox / "after.bin").read_bytes() == b"still alive"
 
 
+def _raw_frame(name: bytes, body: bytes) -> bytes:
+    # built by hand: encode_frame refuses the names these tests send
+    return b"".join((MAGIC, struct.pack(">H", len(name)), name, struct.pack(">Q", len(body)),
+                     body, struct.pack(">I", zlib.crc32(body))))
+
+
 def test_traversal_name_rejected(receiver):
     server, inbox = receiver
-    name = "../escape.wav".encode("utf-8")
-    frame = MAGIC + struct.pack(">H", len(name)) + name
-    frame += struct.pack(">Q", 4) + b"data" + struct.pack(">I", zlib.crc32(b"data"))
-    assert _raw_exchange(server.port, frame) == ACK_REJECTED
+    assert _raw_exchange(server.port, _raw_frame(b"../escape.wav", b"data")) == ACK_REJECTED
     assert list(inbox.iterdir()) == []
     assert not (inbox.parent / "escape.wav").exists()
 
 
 def test_overlong_name_rejected(receiver):
     server, inbox = receiver
-    name = b"n" * 300
-    frame = MAGIC + struct.pack(">H", len(name)) + name
-    frame += struct.pack(">Q", 1) + b"x" + struct.pack(">I", zlib.crc32(b"x"))
-    assert _raw_exchange(server.port, frame) == ACK_REJECTED
+    assert _raw_exchange(server.port, _raw_frame(b"n" * 300, b"x")) == ACK_REJECTED
+
+
+@pytest.mark.parametrize("name", [b"a\x00b", b".incoming-x", b"..."])
+def test_hostile_names_rejected_with_ack(receiver, tmp_path, name):
+    server, inbox = receiver
+    assert _raw_exchange(server.port, _raw_frame(name, b"data")) == ACK_REJECTED
+    assert list(inbox.iterdir()) == []
+    # the receiver is still serving
+    source = tmp_path / "next.bin"
+    source.write_bytes(b"fine")
+    send_file("127.0.0.1", server.port, source)
+    assert (inbox / "next.bin").read_bytes() == b"fine"
 
 
 def test_short_frame_survived(receiver, tmp_path):
