@@ -114,6 +114,10 @@ class TransferIoError(StegoStreamError):
     exit_code = 4
 
 
+class InvalidTransferName(StegoStreamError):
+    """File name cannot go on the wire (separator, control character, leading dot, length)."""
+
+
 class BindFailed(StegoStreamError):
     """Receiver could not bind its listening port."""
 

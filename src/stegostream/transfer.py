@@ -28,7 +28,13 @@ import threading
 import zlib
 from pathlib import Path
 
-from .errors import BindFailed, ConnectFailed, RemoteRejected, TransferIoError
+from .errors import (
+    BindFailed,
+    ConnectFailed,
+    InvalidTransferName,
+    RemoteRejected,
+    TransferIoError,
+)
 
 log = logging.getLogger(__name__)
 
@@ -84,11 +90,16 @@ def send_file(host: str, port: int, file_path, timeout: float = DEFAULT_TIMEOUT)
     """Send one file; returns the number of frame bytes written.
 
     The connection originates from an ephemeral local port. Raises
-    ConnectFailed when the receiver is unreachable, RemoteRejected when it
-    answers 0x01, and TransferIoError when the connection dies early.
+    InvalidTransferName before connecting when the file's name cannot go
+    on the wire, ConnectFailed when the receiver is unreachable,
+    RemoteRejected when it answers 0x01, and TransferIoError when the
+    connection dies early.
     """
     path = Path(file_path)
-    frame = encode_frame(path.name, path.read_bytes())
+    try:
+        frame = encode_frame(path.name, path.read_bytes())
+    except ValueError as exc:
+        raise InvalidTransferName(f"cannot send {path}: {exc}") from exc
     try:
         conn = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:

@@ -229,8 +229,17 @@ def test_send_unreachable_exits_four(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_send_dot_file_is_usage_error(tmp_path, capsys):
+    # refused before connecting: nothing listens on port 1
+    payload = tmp_path / ".env"
+    payload.write_bytes(b"x")
+    assert cli.run(["send", "--host", "127.0.0.1", "--port", "1", str(payload)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot send") and "Traceback" not in err
+
+
 _DOCUMENTED_EXIT_CODES = {
-    "EmptyPassphrase": 1, "EmptyMessage": 1,
+    "EmptyPassphrase": 1, "EmptyMessage": 1, "InvalidTransferName": 1,
     "CapacityExceeded": 2, "MessageTooLarge": 2,
     "MalformedRiff": 3, "UnknownFormat": 3, "HeaderExceedsFile": 3, "UnsupportedDepth": 3,
     "LengthMismatch": 3, "TooShort": 3, "EmptyInput": 3,
