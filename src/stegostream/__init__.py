@@ -1,7 +1,7 @@
 """Audio steganography toolkit: encrypted embed/extract/delete, quality
 metrics, and LAN transfer of stego files."""
 
-from .cipher import SealedPayload, derive_key_material, seal, unseal
+from .cipher import SealedPayload, seal, unseal
 from .container import AudioCarrier, CarrierKind, FormatInfo, parse_carrier, samples_16
 from .errors import StegoStreamError
 from .quality import QualityReport, bitplane_diff, segmental_snr, waveform_compare
@@ -17,9 +17,7 @@ from .stego import (
     inspect_carrier,
     plan_embed,
     read_bit,
-    register_file_type,
     required_size,
-    write_bit,
 )
 from .transfer import FileReceiver, send_file
 
@@ -39,7 +37,6 @@ __all__ = [
     "capacity",
     "code_for_extension",
     "delete_message",
-    "derive_key_material",
     "embed",
     "extension_for_code",
     "extract",
@@ -47,7 +44,6 @@ __all__ = [
     "parse_carrier",
     "plan_embed",
     "read_bit",
-    "register_file_type",
     "required_size",
     "samples_16",
     "seal",
@@ -55,5 +51,4 @@ __all__ = [
     "send_file",
     "unseal",
     "waveform_compare",
-    "write_bit",
 ]

@@ -1,5 +1,9 @@
 """Size-preserving message sealing with AES-256 in counter mode.
 
+The keystream is the cryptography library's CTR mode (NIST SP 800-38A)
+from the nonce, but only the nonce's low 64 bits count: where they wrap,
+the stream restarts at the nonce's high 64 bits followed by 64 zero bits.
+
 Key and nonce are both derived deterministically from the passphrase with
 domain-separated SHA-256, because the embed layout has no room to store a
 random nonce next to the message.
@@ -17,7 +21,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import EmptyMessage, EmptyPassphrase, MessageTooLarge
@@ -61,25 +64,16 @@ def encrypt_block(key: bytes, block: bytes) -> bytes:
     return encryptor.update(block) + encryptor.finalize()
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Counter-mode keystream: low 64 bits of the nonce block count up from 0."""
-    block_count = (length + 15) // 16
-    prefix = nonce[:8]
-    base = int.from_bytes(nonce[8:16], "big")
-    counters = b"".join(
-        prefix + ((base + i) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-        for i in range(block_count)
-    )
-    encryptor = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    stream = encryptor.update(counters) + encryptor.finalize()
-    return stream[:length]
-
-
-def _xor_keystream(data: bytes, passphrase: str) -> bytes:
-    key, nonce = derive_key_material(passphrase)
-    stream = _keystream(key, nonce, len(data))
-    out = np.frombuffer(data, dtype=np.uint8) ^ np.frombuffer(stream, dtype=np.uint8)
-    return out.tobytes()
+def _ctr_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """XOR `data` with the counter-mode keystream; the counter is the low 64 bits."""
+    # blocks left before the low half wraps to zero
+    split = 16 * (2**64 - int.from_bytes(nonce[8:16], "big"))
+    view = memoryview(data)
+    out = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor().update(view[:split])
+    if len(view) > split:
+        wrapped = Cipher(algorithms.AES(key), modes.CTR(nonce[:8] + bytes(8))).encryptor()
+        out += wrapped.update(view[split:])
+    return out
 
 
 def seal(plaintext: bytes, file_type_code: int, passphrase: str) -> SealedPayload:
@@ -91,7 +85,7 @@ def seal(plaintext: bytes, file_type_code: int, passphrase: str) -> SealedPayloa
             f"message is {len(plaintext)} bytes; the size field holds at most "
             f"{MAX_MESSAGE_BYTES}"
         )
-    ciphertext = _xor_keystream(bytes(plaintext), passphrase)
+    ciphertext = _ctr_xor(*derive_key_material(passphrase), plaintext)
     return SealedPayload(
         ciphertext=ciphertext,
         file_type_code=file_type_code,
@@ -105,4 +99,4 @@ def unseal(payload: SealedPayload, passphrase: str) -> bytes:
     A wrong passphrase yields garbage bytes rather than an error: counter
     mode is unauthenticated.
     """
-    return _xor_keystream(payload.ciphertext, passphrase)
+    return _ctr_xor(*derive_key_material(passphrase), payload.ciphertext)

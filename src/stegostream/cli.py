@@ -25,6 +25,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _passphrase(args) -> str:
     if getattr(args, "key_env", None):
         value = os.environ.get(args.key_env, "")
@@ -174,7 +187,7 @@ def _cmd_recv(args) -> int:
 
 
 def _add_header_size(parser):
-    parser.add_argument("--header-size", type=int, default=None, metavar="N",
+    parser.add_argument("--header-size", type=_int_at_least(0), default=None, metavar="N",
                         help="treat the carrier as raw bytes with N protected leading bytes")
 
 
@@ -225,14 +238,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snr", help="segmental SNR between two 16-bit PCM WAVs")
     p.add_argument("--original", required=True)
     p.add_argument("--stego", required=True)
-    p.add_argument("--frame-ms", type=int, default=quality.DEFAULT_FRAME_MS)
+    p.add_argument("--frame-ms", type=_int_at_least(1), default=quality.DEFAULT_FRAME_MS)
     p.set_defaults(func=_cmd_snr)
 
     p = sub.add_parser("compare", help="full quality report between two WAVs")
     p.add_argument("--original", required=True)
     p.add_argument("--stego", required=True)
-    p.add_argument("--frame-ms", type=int, default=quality.DEFAULT_FRAME_MS)
-    p.add_argument("--max-lag", type=int, default=100)
+    p.add_argument("--frame-ms", type=_int_at_least(1), default=quality.DEFAULT_FRAME_MS)
+    p.add_argument("--max-lag", type=_int_at_least(0), default=100)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("send", help="send a file to a receiver on the LAN")

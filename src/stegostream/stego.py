@@ -47,14 +47,6 @@ def read_bit(value: int, plane: int) -> int:
     return (value >> plane) & 1
 
 
-def write_bit(value: int, plane: int, bit: int) -> int:
-    """Return `value` with the selected plane set to `bit`; other bits kept."""
-    _check_plane(plane)
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return (value & ~(1 << plane) | (bit << plane)) & 0xFF
-
-
 def _check_plane(plane: int):
     if plane not in (PLANE_LSB, PLANE_SEVENTH):
         raise ValueError("plane must be 0 (LSB) or 1 (7th bit)")
@@ -88,51 +80,21 @@ class StegoMode(enum.Enum):
         return cls.REGULAR if bit == cls.REGULAR.flag_bit else cls.EXCESSIVE
 
 
-# -- file-type registry -------------------------------------------------------
+# -- file types ---------------------------------------------------------------
 
-UNKNOWN_TYPE_CODE = 0x00
-UNKNOWN_EXTENSION = "bin"
-
-_code_to_extension = {
-    0x00: "bin",
-    0x01: "txt",
-    0x02: "wav",
-    0x03: "mp3",
-    0x04: "png",
-    0x05: "jpg",
-    0x06: "pdf",
-    0x07: "zip",
-}
-_extension_to_code = {ext: code for code, ext in _code_to_extension.items()}
-
-
-def _normalize_extension(extension: str) -> str:
-    return extension.lower().lstrip(".")
-
-
-def register_file_type(code: int, extension: str):
-    """Add a code <-> extension pair; both sides must be unused."""
-    if not 0 <= code <= 0xFF:
-        raise ValueError("file type code must fit one byte")
-    ext = _normalize_extension(extension)
-    if not ext:
-        raise ValueError("extension must be non-empty")
-    if code in _code_to_extension and _code_to_extension[code] != ext:
-        raise ValueError(f"code {code:#04x} is already registered as {_code_to_extension[code]!r}")
-    if ext in _extension_to_code and _extension_to_code[ext] != code:
-        raise ValueError(f"extension {ext!r} is already registered as {_extension_to_code[ext]:#04x}")
-    _code_to_extension[code] = ext
-    _extension_to_code[ext] = code
+# the index of an extension is its one-byte type code; code 0x00 is unknown
+_FILE_TYPES = ("bin", "txt", "wav", "mp3", "png", "jpg", "pdf", "zip")
 
 
 def code_for_extension(extension: str) -> int:
-    """Type code for a file extension; unregistered extensions map to 0x00."""
-    return _extension_to_code.get(_normalize_extension(extension), UNKNOWN_TYPE_CODE)
+    """Type code for a file extension; unknown extensions map to 0x00."""
+    ext = extension.lower().lstrip(".")
+    return _FILE_TYPES.index(ext) if ext in _FILE_TYPES else 0
 
 
 def extension_for_code(code: int) -> str:
-    """Extension for a type code; unregistered codes map to "bin"."""
-    return _code_to_extension.get(code, UNKNOWN_EXTENSION)
+    """Extension for a type code; unknown codes map to "bin"."""
+    return _FILE_TYPES[code] if 0 <= code < len(_FILE_TYPES) else _FILE_TYPES[0]
 
 
 # -- layout planning ----------------------------------------------------------

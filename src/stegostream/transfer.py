@@ -9,7 +9,7 @@ Wire format (big-endian lengths):
     body      bytes    file content
     checksum  u32      CRC-32 of the payload
 
-The receiver streams the payload to a temporary file, renames it into
+The receiver streams the payload to a temporary file, links it into
 place only after the checksum verifies, and answers one acknowledgment
 byte: 0x00 accepted, 0x01 rejected. Frames with a bad magic are dropped
 without an acknowledgment. Connections are handled concurrently and a
@@ -125,7 +125,6 @@ class FileReceiver:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.timeout = timeout
-        self._name_lock = threading.Lock()
         self._workers: set[threading.Thread] = set()
         self._accept_thread: threading.Thread | None = None
         self._closing = False
@@ -247,13 +246,16 @@ class FileReceiver:
             conn.sendall(ACK_OK)
 
     def _store(self, tmp_name: str, name: str) -> Path:
-        """Move the verified temp file to a collision-free final name."""
+        """Link the verified temp file to a free name; `<stem>-N.<suffix>` is cut to fit."""
         stem, dot, suffix = name.partition(".")
-        with self._name_lock:
-            candidate = self.out_dir / name
-            counter = 1
-            while candidate.exists():
-                candidate = self.out_dir / f"{stem}-{counter}{dot}{suffix}"
+        candidate, counter = name, 0
+        while True:
+            try:  # a link never overwrites, so no two connections claim one name
+                os.link(tmp_name, self.out_dir / candidate)
+                return self.out_dir / candidate
+            except FileExistsError:
                 counter += 1
-            os.replace(tmp_name, candidate)
-        return candidate
+            # cut the stem on a character boundary to stay within MAX_NAME_BYTES
+            tail = f"-{counter}{dot}{suffix}".encode("utf-8")
+            head = stem.encode("utf-8")[: max(MAX_NAME_BYTES - len(tail), 0)]
+            candidate = (head + tail)[:MAX_NAME_BYTES].decode("utf-8", "ignore")

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from stegostream.cipher import (
     MAX_MESSAGE_BYTES,
     SealedPayload,
-    _keystream,
+    _ctr_xor,
     derive_key_material,
     encrypt_block,
     seal,
@@ -102,10 +103,35 @@ def test_counter_mode_matches_library(passphrase, length):
     assert seal(plaintext, 0, passphrase).ciphertext == expected
 
 
+def _reference_keystream(key, nonce, length):
+    # the layout's counter by hand: block i encrypts nonce[:8] followed by
+    # (low + i) mod 2^64, where low is the nonce's low 64 bits
+    low = int.from_bytes(nonce[8:], "big")
+    blocks = (
+        encrypt_block(key, nonce[:8] + ((low + i) % 2**64).to_bytes(8, "big"))
+        for i in range((length + 15) // 16)
+    )
+    return b"".join(blocks)[:length]
+
+
+@pytest.mark.parametrize("length", [1, 16, 17, 33, 4097])
+@pytest.mark.parametrize(
+    "low", [0, 2**64 - 1, 2**64 - 2, 2**64 - 17, random.Random(13).getrandbits(64)]
+)
+def test_ctr_xor_matches_reference_counter(low, length):
+    rng = random.Random(low ^ length)
+    key = rng.randbytes(32)
+    nonce = rng.randbytes(8) + low.to_bytes(8, "big")
+    data = rng.randbytes(length)
+    stream = _reference_keystream(key, nonce, length)
+    expected = bytes(a ^ b for a, b in zip(data, stream))
+    assert _ctr_xor(key, nonce, data) == expected
+
+
 def test_counter_wrap_stays_in_low_64_bits():
     key = bytes(32)
     nonce = b"\x01" * 8 + b"\xff" * 8
-    stream = _keystream(key, nonce, 32)
+    stream = _ctr_xor(key, nonce, bytes(32))
     assert stream[:16] == encrypt_block(key, nonce)
     # next counter wraps to zero without carrying into the high half
     assert stream[16:] == encrypt_block(key, b"\x01" * 8 + b"\x00" * 8)
@@ -113,6 +139,6 @@ def test_counter_wrap_stays_in_low_64_bits():
 
 def test_keystream_blocks_differ():
     key, nonce = derive_key_material("pw")
-    stream = _keystream(key, nonce, 48)
+    stream = _ctr_xor(key, nonce, bytes(48))
     blocks = {stream[i : i + 16] for i in range(0, 48, 16)}
     assert len(blocks) == 3

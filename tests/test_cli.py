@@ -135,6 +135,20 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["capacity", "{wav}"], "--header-size", "-1"),
+    (["compare", "--original", "{wav}", "--stego", "{wav}"], "--max-lag", "-1"),
+    (["snr", "--original", "{wav}", "--stego", "{wav}"], "--frame-ms", "0"),
+], ids=["header-size", "max-lag", "frame-ms"])
+def test_out_of_range_numbers_are_usage_errors(command, flag, value, carrier_wav, capsys):
+    argv = [arg.format(wav=carrier_wav) for arg in command] + [flag, value]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert f"error: argument {flag}: must be at least" in captured.err
+
+
 def test_missing_env_var_exits_one(tmp_path, carrier_wav, capsys):
     message = tmp_path / "m.txt"
     message.write_bytes(b"hello")

@@ -18,9 +18,7 @@ from stegostream.stego import (
     inspect_carrier,
     plan_embed,
     read_bit,
-    register_file_type,
     required_size,
-    write_bit,
 )
 
 from conftest import build_wav
@@ -41,27 +39,9 @@ def test_read_bit_examples():
     assert read_bit(0xFF, 1) == 1
 
 
-def test_write_bit_examples():
-    assert write_bit(0b01100110, 0, 1) == 0b01100111
-    assert write_bit(0xFF, 1, 0) == 0xFD
-
-
-def test_write_bit_laws_exhaustive():
-    for value in range(256):
-        for plane in (0, 1):
-            current = read_bit(value, plane)
-            assert write_bit(value, plane, current) == value  # no-op case
-            for bit in (0, 1):
-                result = write_bit(value, plane, bit)
-                assert read_bit(result, plane) == bit
-                assert result ^ value in (0, 1 << plane)  # only that plane moves
-
-
 def test_plane_validation():
     with pytest.raises(ValueError):
         read_bit(0, 2)
-    with pytest.raises(ValueError):
-        write_bit(0, 0, 2)
 
 
 # -- mode constants and planning ----------------------------------------------
@@ -370,7 +350,7 @@ def test_delete_implausible_size():
         delete_message(parse_carrier(bytes(data), 0))
 
 
-# -- file type registry --------------------------------------------------------
+# -- file types ----------------------------------------------------------------
 
 def test_registry_defaults():
     assert code_for_extension(".txt") == 0x01
@@ -380,14 +360,18 @@ def test_registry_defaults():
     assert extension_for_code(0xEE) == "bin"
 
 
-def test_registry_register_and_conflicts():
-    register_file_type(0x7F, "flac")
-    assert code_for_extension("flac") == 0x7F
-    assert extension_for_code(0x7F) == "flac"
-    register_file_type(0x7F, "flac")  # re-registering the same pair is fine
-    with pytest.raises(ValueError):
-        register_file_type(0x7F, "ogg")
-    with pytest.raises(ValueError):
-        register_file_type(0x10, "flac")
-    with pytest.raises(ValueError):
-        register_file_type(0x300, "big")
+def test_type_table_round_trip():
+    table = ["bin", "txt", "wav", "mp3", "png", "jpg", "pdf", "zip"]
+    for code, extension in enumerate(table):
+        assert extension_for_code(code) == extension
+        assert code_for_extension(extension) == code
+    assert code_for_extension(".TXT") == 0x01
+    assert code_for_extension("flac") == 0x00
+    assert extension_for_code(0xEE) == "bin"
+
+
+def test_public_names_resolve():
+    import stegostream
+
+    for name in stegostream.__all__:
+        assert hasattr(stegostream, name), name

@@ -3,6 +3,7 @@ import hashlib
 import os
 import socket
 import struct
+import sys
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +12,7 @@ import pytest
 
 from stegostream.errors import ConnectFailed, RemoteRejected, TransferIoError
 from stegostream.transfer import (
+    ACK_OK,
     ACK_REJECTED,
     MAGIC,
     FileReceiver,
@@ -84,6 +86,36 @@ def test_same_name_collisions_get_suffixes(receiver, tmp_path):
     assert names == ["same-1.wav", "same-2.wav", "same.wav"]
     stored = {p.read_bytes() for p in inbox.iterdir()}
     assert stored == set(contents)
+
+
+@pytest.mark.parametrize("name, second", [
+    ("a" * 251 + ".wav", "a" * 249 + "-1.wav"),
+    ("\u00e9" * 125 + ".wav", "\u00e9" * 124 + "-1.wav"),  # cut on a character boundary
+    ("a." + "b" * 253, "-1." + "b" * 252),  # no room for the stem: the suffix is cut
+], ids=["ascii", "two-byte", "long-suffix"])
+def test_long_name_collision_is_cut_to_fit(receiver, name, second):
+    server, inbox = receiver
+    for body in (b"first", b"second"):
+        assert _raw_exchange(server.port, encode_frame(name, body)) == ACK_OK
+    assert sorted(p.name for p in inbox.iterdir()) == sorted([name, second])
+    assert (inbox / name).read_bytes() == b"first"
+    assert (inbox / second).read_bytes() == b"second"
+
+
+def test_concurrent_same_name_sends_keep_every_file(receiver):
+    # names are claimed without a lock; a lost claim would overwrite a file
+    server, inbox = receiver
+    bodies = [os.urandom(4096 + i) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            acks = list(pool.map(
+                lambda body: _raw_exchange(server.port, encode_frame("same.wav", body)), bodies))
+    finally:
+        sys.setswitchinterval(interval)
+    assert acks == [ACK_OK] * len(bodies)
+    assert sorted(p.read_bytes() for p in inbox.iterdir()) == sorted(bodies)
 
 
 def test_corrupted_payload_rejected(receiver):
