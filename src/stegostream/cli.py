@@ -11,11 +11,12 @@ import argparse
 import getpass
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import container, quality, stego, transfer
 from .cipher import seal
-from .errors import CapacityExceeded, EmptyPassphrase, StegoStreamError, TooShort
+from .errors import CapacityExceeded, EmptyPassphrase, StegoStreamError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -25,8 +26,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer no smaller than `low`."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type for an integer in [low, high]; no upper bound when high is None."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -34,6 +35,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -44,7 +47,10 @@ def _passphrase(args) -> str:
         if not value:
             raise EmptyPassphrase(f"environment variable {args.key_env} is unset or empty")
         return value
-    return getpass.getpass("passphrase: ")
+    try:
+        return getpass.getpass("passphrase: ")
+    except EOFError:
+        raise EmptyPassphrase("no passphrase: standard input is closed") from None
 
 
 def _load_carrier(path, header_size) -> container.AudioCarrier:
@@ -83,8 +89,10 @@ def _cmd_extract(args) -> int:
     plaintext, extension = stego.extract(carrier, _passphrase(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"{Path(args.carrier).stem}.{extension}"
-    out_path.write_bytes(plaintext)
+    with tempfile.NamedTemporaryFile(dir=out_dir, prefix=".extract-") as tmp:
+        tmp.write(plaintext)
+        tmp.flush()
+        out_path = transfer.claim_name(tmp.name, out_dir, f"{Path(args.carrier).stem}.{extension}")
     print(f"extension={extension}")
     print(f"message_bytes={len(plaintext)}")
     print(f"out={out_path}")
@@ -133,37 +141,19 @@ def _load_sample_pair(args):
 
 def _cmd_snr(args) -> int:
     original, modified, frame_len = _load_sample_pair(args)
-    values = quality.frame_snrs(
+    seg_snr_db, frames_used = quality.mean_snr(
         container.samples_16(original), container.samples_16(modified), frame_len
     )
-    if not values:
-        raise TooShort("no frame has signal energy")
-    print(f"seg_snr_db={sum(values) / len(values):.6f}")
-    print(f"frames_used={len(values)}")
+    print(f"seg_snr_db={seg_snr_db:.6f}")
+    print(f"frames_used={frames_used}")
     print(f"frame_len={frame_len}")
     return 0
 
 
 def _cmd_compare(args) -> int:
     original, modified, frame_len = _load_sample_pair(args)
-    samples_a = container.samples_16(original)
-    samples_b = container.samples_16(modified)
-    values = quality.frame_snrs(samples_a, samples_b, frame_len)
-    if not values:
-        raise TooShort("no frame has signal energy")
-    peak, lag = quality.waveform_compare(samples_a, samples_b, args.max_lag)
-    plane0, plane1, other = quality.bitplane_diff(original.data, modified.data)
-    report = quality.QualityReport(
-        seg_snr_db=sum(values) / len(values),
-        frames_used=len(values),
-        xcorr_peak=peak,
-        xcorr_lag=lag,
-        modified_bytes_plane0=plane0,
-        modified_bytes_plane1=plane1,
-    )
-    for line in report.lines():
+    for line in quality.report(original, modified, frame_len, args.max_lag).lines():
         print(line)
-    print(f"modified_bytes_other_planes={other}")
     return 0
 
 
@@ -187,7 +177,7 @@ def _cmd_recv(args) -> int:
 
 
 def _add_header_size(parser):
-    parser.add_argument("--header-size", type=_int_at_least(0), default=None, metavar="N",
+    parser.add_argument("--header-size", type=_int_in(0), default=None, metavar="N",
                         help="treat the carrier as raw bytes with N protected leading bytes")
 
 
@@ -238,24 +228,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snr", help="segmental SNR between two 16-bit PCM WAVs")
     p.add_argument("--original", required=True)
     p.add_argument("--stego", required=True)
-    p.add_argument("--frame-ms", type=_int_at_least(1), default=quality.DEFAULT_FRAME_MS)
+    p.add_argument("--frame-ms", type=_int_in(1), default=quality.DEFAULT_FRAME_MS)
     p.set_defaults(func=_cmd_snr)
 
     p = sub.add_parser("compare", help="full quality report between two WAVs")
     p.add_argument("--original", required=True)
     p.add_argument("--stego", required=True)
-    p.add_argument("--frame-ms", type=_int_at_least(1), default=quality.DEFAULT_FRAME_MS)
-    p.add_argument("--max-lag", type=_int_at_least(0), default=100)
+    p.add_argument("--frame-ms", type=_int_in(1), default=quality.DEFAULT_FRAME_MS)
+    p.add_argument("--max-lag", type=_int_in(0), default=100)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("send", help="send a file to a receiver on the LAN")
     p.add_argument("--host", required=True)
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_int_in(1, 65535), required=True)
     p.add_argument("file")
     p.set_defaults(func=_cmd_send)
 
     p = sub.add_parser("recv", help="receive files until interrupted")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_int_in(0, 65535), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recv)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import AudioCarrier, samples_16
 from .errors import EmptyInput, LengthMismatch, TooShort
 
 SNR_CAP_DB = 100.0
@@ -27,6 +28,7 @@ class QualityReport:
     xcorr_lag: int
     modified_bytes_plane0: int
     modified_bytes_plane1: int
+    modified_bytes_other_planes: int = 0
 
     def lines(self) -> list[str]:
         """key=value lines, one per field."""
@@ -37,6 +39,7 @@ class QualityReport:
             f"xcorr_lag={self.xcorr_lag}",
             f"modified_bytes_plane0={self.modified_bytes_plane0}",
             f"modified_bytes_plane1={self.modified_bytes_plane1}",
+            f"modified_bytes_other_planes={self.modified_bytes_other_planes}",
         ]
 
 
@@ -62,25 +65,28 @@ def frame_snrs(original, modified, frame_len: int) -> list[float]:
     if frame_count == 0:
         raise TooShort(f"need at least {frame_len} samples, got {a.size}")
     n = frame_count * frame_len
-    signal = (a[:n].reshape(frame_count, frame_len) ** 2).sum(axis=1)
-    distortion = ((a[:n] - b[:n]).reshape(frame_count, frame_len) ** 2).sum(axis=1)
-    values = []
-    for sig, dist in zip(signal, distortion):
-        if sig == 0.0:
-            continue
-        if dist == 0.0:
-            values.append(SNR_CAP_DB)
-        else:
-            values.append(min(10.0 * math.log10(sig / dist), SNR_CAP_DB))
-    return values
+    frames = a[:n].reshape(frame_count, frame_len)
+    error = frames - b[:n].reshape(frame_count, frame_len)
+    signal = np.einsum("ij,ij->i", frames, frames)
+    distortion = np.einsum("ij,ij->i", error, error)
+    audible = signal != 0
+    # zero distortion gives log10(inf), which the cap turns into SNR_CAP_DB
+    with np.errstate(divide="ignore"):
+        values = np.minimum(10.0 * np.log10(signal[audible] / distortion[audible]), SNR_CAP_DB)
+    return values.tolist()
+
+
+def mean_snr(original, modified, frame_len: int) -> tuple[float, int]:
+    """Mean per-frame SNR in dB and the number of frames it averages."""
+    values = frame_snrs(original, modified, frame_len)
+    if not values:
+        raise TooShort("no frame has signal energy")
+    return sum(values) / len(values), len(values)
 
 
 def segmental_snr(original, modified, frame_len: int) -> float:
     """Mean per-frame SNR in dB over all frames with signal energy."""
-    values = frame_snrs(original, modified, frame_len)
-    if not values:
-        raise TooShort("no frame has signal energy")
-    return sum(values) / len(values)
+    return mean_snr(original, modified, frame_len)[0]
 
 
 def waveform_compare(a, b, max_lag: int) -> tuple[float, int]:
@@ -101,16 +107,13 @@ def waveform_compare(a, b, max_lag: int) -> tuple[float, int]:
         return 0.0, 0
     best_r = -math.inf
     best_lag = 0
-    for lag in range(-max_lag, max_lag + 1):
-        if lag >= 0:
-            n = min(xs.size, ys.size - lag)
-            r = float(np.dot(xs[:n], ys[lag : lag + n])) / denom if n > 0 else 0.0
-        else:
-            n = min(xs.size + lag, ys.size)
-            r = float(np.dot(xs[-lag : -lag + n], ys[:n])) / denom if n > 0 else 0.0
-        if r > best_r or (
-            r == best_r and (abs(lag) < abs(best_lag) or (abs(lag) == abs(best_lag) and lag < best_lag))
-        ):
+    # past the overlap every lag scores 0.0, so one such lag per side is enough;
+    # visiting in tie order lets the first of equal scores win
+    lags = range(-min(max_lag, xs.size), min(max_lag, ys.size) + 1)
+    for lag in sorted(lags, key=lambda k: (abs(k), k)):
+        lo, hi = max(0, -lag), min(xs.size, ys.size - lag)
+        r = float(np.dot(xs[lo:hi], ys[lo + lag : hi + lag])) / denom if hi > lo else 0.0
+        if r > best_r:
             best_r = r
             best_lag = lag
     return best_r, best_lag
@@ -125,3 +128,15 @@ def bitplane_diff(before: bytes, after: bytes) -> tuple[int, int, int]:
     plane1 = int(np.count_nonzero(delta & 0x02))
     other = int(np.count_nonzero(delta & 0xFC))
     return plane0, plane1, other
+
+
+def report(original: AudioCarrier, modified: AudioCarrier, frame_len: int,
+           max_lag: int) -> QualityReport:
+    """Segmental SNR, cross-correlation and bit-plane diff of a WAV pair; the
+    samples are decoded to float64 once, the plane diff reads the file bytes."""
+    a = samples_16(original).astype(np.float64)
+    b = samples_16(modified).astype(np.float64)
+    seg_snr_db, frames_used = mean_snr(a, b, frame_len)
+    peak, lag = waveform_compare(a, b, max_lag)
+    plane0, plane1, other = bitplane_diff(original.data, modified.data)
+    return QualityReport(seg_snr_db, frames_used, peak, lag, plane0, plane1, other)

@@ -73,6 +73,23 @@ def _name_ok(name: str, name_bytes: bytes) -> bool:
     return not _CONTROL_CHARS.search(name)
 
 
+def claim_name(source, out_dir: Path, name: str) -> Path:
+    """Hard-link `source` into `out_dir` as `name`, or as the first free
+    `<stem>-N.<suffix>` cut to MAX_NAME_BYTES; never replaces a file."""
+    stem, dot, suffix = name.partition(".")
+    candidate, counter = name, 0
+    while True:
+        try:  # a link never overwrites, so no two writers claim one name
+            os.link(source, out_dir / candidate)
+            return out_dir / candidate
+        except FileExistsError:
+            counter += 1
+        # cut the stem on a character boundary to stay within MAX_NAME_BYTES
+        tail = f"-{counter}{dot}{suffix}".encode("utf-8")
+        head = stem.encode("utf-8")[: max(MAX_NAME_BYTES - len(tail), 0)]
+        candidate = (head + tail)[:MAX_NAME_BYTES].decode("utf-8", "ignore")
+
+
 def _recv_exact(conn: socket.socket, count: int) -> bytes | None:
     """Read exactly `count` bytes; None if the peer closed early."""
     chunks = []
@@ -232,7 +249,7 @@ class FileReceiver:
             elif crc != expected_crc:
                 reject_reason = f"checksum mismatch for {name!r}"
             else:
-                stored = self._store(tmp.name, name)
+                stored = claim_name(tmp.name, self.out_dir, name)
         finally:
             # clean up before acknowledging so the peer never observes
             # a half-finished out_dir
@@ -244,18 +261,3 @@ class FileReceiver:
         else:
             log.info("stored %s (%d bytes) from %s", stored, received, addr)
             conn.sendall(ACK_OK)
-
-    def _store(self, tmp_name: str, name: str) -> Path:
-        """Link the verified temp file to a free name; `<stem>-N.<suffix>` is cut to fit."""
-        stem, dot, suffix = name.partition(".")
-        candidate, counter = name, 0
-        while True:
-            try:  # a link never overwrites, so no two connections claim one name
-                os.link(tmp_name, self.out_dir / candidate)
-                return self.out_dir / candidate
-            except FileExistsError:
-                counter += 1
-            # cut the stem on a character boundary to stay within MAX_NAME_BYTES
-            tail = f"-{counter}{dot}{suffix}".encode("utf-8")
-            head = stem.encode("utf-8")[: max(MAX_NAME_BYTES - len(tail), 0)]
-            candidate = (head + tail)[:MAX_NAME_BYTES].decode("utf-8", "ignore")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from stegostream import cli, stego
+from stegostream.cipher import SealedPayload
 from stegostream.container import parse_carrier
 from stegostream.errors import StegoStreamError
 from stegostream.stego import StegoMode, capacity, inspect_carrier
@@ -135,18 +136,23 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, flag, value", [
-    (["capacity", "{wav}"], "--header-size", "-1"),
-    (["compare", "--original", "{wav}", "--stego", "{wav}"], "--max-lag", "-1"),
-    (["snr", "--original", "{wav}", "--stego", "{wav}"], "--frame-ms", "0"),
-], ids=["header-size", "max-lag", "frame-ms"])
-def test_out_of_range_numbers_are_usage_errors(command, flag, value, carrier_wav, capsys):
-    argv = [arg.format(wav=carrier_wav) for arg in command] + [flag, value]
+@pytest.mark.parametrize("command, flag, value, bound", [
+    (["capacity", "{wav}"], "--header-size", "-1", "at least 0"),
+    (["compare", "--original", "{wav}", "--stego", "{wav}"], "--max-lag", "-1", "at least 0"),
+    (["snr", "--original", "{wav}", "--stego", "{wav}"], "--frame-ms", "0", "at least 1"),
+    (["recv", "--out", "{dir}"], "--port", "-1", "at least 0"),
+    (["recv", "--out", "{dir}"], "--port", "70000", "at most 65535"),
+    (["send", "--host", "127.0.0.1", "{wav}"], "--port", "0", "at least 1"),
+    (["send", "--host", "127.0.0.1", "{wav}"], "--port", "65536", "at most 65535"),
+], ids=["header-size", "max-lag", "frame-ms", "recv-port-low", "recv-port-high",
+        "send-port-low", "send-port-high"])
+def test_out_of_range_numbers_are_usage_errors(command, flag, value, bound, carrier_wav, capsys):
+    argv = [arg.format(wav=carrier_wav, dir=carrier_wav.parent) for arg in command] + [flag, value]
     assert cli.run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage:")
-    assert f"error: argument {flag}: must be at least" in captured.err
+    assert f"error: argument {flag}: must be {bound}, got {value}" in captured.err
 
 
 def test_missing_env_var_exits_one(tmp_path, carrier_wav, capsys):
@@ -196,6 +202,34 @@ def test_prompt_used_when_no_env(tmp_path, carrier_wav, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_closed_stdin_at_prompt_is_empty_passphrase(tmp_path, carrier_wav, monkeypatch, capsys):
+    def closed_stdin(prompt=""):
+        raise EOFError
+
+    monkeypatch.setattr("getpass.getpass", closed_stdin)
+    assert cli.run(["extract", "--carrier", str(carrier_wav), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: no passphrase: standard input is closed\n"
+
+
+def test_extract_never_replaces_a_file(tmp_path, carrier_wav, keyed_env, capsys):
+    # a hidden .wav extracted next to its carrier stego.wav would be named stego.wav
+    message = tmp_path / "song.wav"
+    message.write_bytes(b"RIFF but not really")
+    stego_path = tmp_path / "stego.wav"
+    cli.run(["embed", "--carrier", str(carrier_wav), "--message", str(message),
+             "--key-env", keyed_env, "--out", str(stego_path)])
+    stego_bytes = stego_path.read_bytes()
+    capsys.readouterr()
+    for expected in ("stego-1.wav", "stego-2.wav"):
+        assert cli.run(["extract", "--carrier", str(stego_path), "--key-env", keyed_env,
+                        "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"out={tmp_path / expected}"
+        assert (tmp_path / expected).read_bytes() == message.read_bytes()
+    assert stego_path.read_bytes() == stego_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "carrier.wav", "song.wav", "stego-1.wav", "stego-2.wav", "stego.wav"]
+
+
 def test_snr_and_compare_reports(tmp_path, carrier_wav, keyed_env, capsys):
     message = tmp_path / "m.txt"
     message.write_bytes(bytes(200))
@@ -215,6 +249,36 @@ def test_snr_and_compare_reports(tmp_path, carrier_wav, keyed_env, capsys):
     assert "xcorr_lag=0" in cmp_out
     assert "modified_bytes_plane1=0" in cmp_out  # regular mode never touches plane 1
     assert "modified_bytes_other_planes=0" in cmp_out
+
+
+# recorded from the per-frame loop implementation of the quality metrics
+_PINNED_QUALITY = {
+    StegoMode.REGULAR: (
+        "seg_snr_db=81.513540\nframes_used=13\nframe_len=441\n",
+        "seg_snr_db=81.513540\nframes_used=13\nxcorr_peak=0.998852945\nxcorr_lag=0\n"
+        "modified_bytes_plane0=1246\nmodified_bytes_plane1=0\nmodified_bytes_other_planes=0\n",
+    ),
+    StegoMode.EXCESSIVE: (
+        "seg_snr_db=86.843430\nframes_used=13\nframe_len=441\n",
+        "seg_snr_db=86.843430\nframes_used=13\nxcorr_peak=0.997026627\nxcorr_lag=0\n"
+        "modified_bytes_plane0=594\nmodified_bytes_plane1=619\nmodified_bytes_other_planes=0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(StegoMode), ids=lambda mode: mode.value)
+def test_snr_and_compare_output_is_pinned(mode, tmp_path, capsys):
+    rng = random.Random(2026)
+    carrier_bytes = build_wav(pcm16_bytes([rng.randrange(-3000, 3000) for _ in range(6000)]))
+    message = bytes(rng.randrange(256) for _ in range(300))
+    stego_carrier = stego.embed(parse_carrier(carrier_bytes),
+                                SealedPayload(message, 0, len(message)), mode)
+    (tmp_path / "c.wav").write_bytes(carrier_bytes)
+    (tmp_path / "s.wav").write_bytes(stego_carrier.data)
+    pair = ["--original", str(tmp_path / "c.wav"), "--stego", str(tmp_path / "s.wav")]
+    for command, expected in zip(("snr", "compare"), _PINNED_QUALITY[mode]):
+        assert cli.run([command, *pair]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_snr_identical_files_hits_cap(carrier_wav, capsys):

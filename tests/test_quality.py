@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stegostream.cipher import SealedPayload
@@ -122,6 +122,43 @@ def test_lag_negation_symmetry(values, max_lag):
     assert abs(peak_ab) <= 1 + 1e-9
 
 
+def _reference_waveform_compare(a, b, max_lag):
+    """Every lag from -max_lag to max_lag with an explicit tie rule: the oracle."""
+    xs = np.asarray(a, dtype=np.float64)
+    ys = np.asarray(b, dtype=np.float64)
+    denom = math.sqrt(float((xs * xs).sum()) * float((ys * ys).sum()))
+    if denom == 0.0:
+        return 0.0, 0
+    best_r = -math.inf
+    best_lag = 0
+    for lag in range(-max_lag, max_lag + 1):
+        if lag >= 0:
+            n = min(xs.size, ys.size - lag)
+            r = float(np.dot(xs[:n], ys[lag : lag + n])) / denom if n > 0 else 0.0
+        else:
+            n = min(xs.size + lag, ys.size)
+            r = float(np.dot(xs[-lag : -lag + n], ys[:n])) / denom if n > 0 else 0.0
+        if r > best_r or (
+            r == best_r and (abs(lag) < abs(best_lag) or (abs(lag) == abs(best_lag) and lag < best_lag))
+        ):
+            best_r = r
+            best_lag = lag
+    return best_r, best_lag
+
+
+_samples = st.lists(st.integers(min_value=-3, max_value=3) | st.integers(min_value=-32768, max_value=32767),
+                    min_size=1, max_size=24)
+
+
+@settings(max_examples=300)
+@given(_samples, _samples, st.integers(min_value=0, max_value=60))
+@example([-1], [0, 1], 3)  # -0.0 at lag 0 ties 0.0 past the overlap
+@example([1, 1, 1, 1], [1, 1, 1, 1], 10)
+def test_waveform_compare_matches_reference_loop(a, b, max_lag):
+    # repr tells -0.0 from 0.0, so the peak must be the very same float
+    assert repr(waveform_compare(a, b, max_lag)) == repr(_reference_waveform_compare(a, b, max_lag))
+
+
 # -- bitplane diff ---------------------------------------------------------------
 
 def test_bitplane_diff_counts():
@@ -169,3 +206,5 @@ def test_report_lines_format():
     assert lines[0].startswith("seg_snr_db=13.5")
     assert "xcorr_lag=-2" in lines
     assert "modified_bytes_plane1=3" in lines
+    assert lines[-1] == "modified_bytes_other_planes=0"
+    assert QualityReport(13.5, 4, 0.999, -2, 10, 3, 7).lines()[-1] == "modified_bytes_other_planes=7"
