@@ -8,8 +8,10 @@ Exit codes: 0 success, 1 usage, 2 capacity, 3 format, 4 network,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import getpass
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -50,11 +52,36 @@ def _passphrase(args) -> str:
     try:
         return getpass.getpass("passphrase: ")
     except EOFError:
+        # getpass has written its prompt without a newline
+        sys.stderr.write("\n")
         raise EmptyPassphrase("no passphrase: standard input is closed") from None
 
 
 def _load_carrier(path, header_size) -> container.AudioCarrier:
     return container.parse_carrier(Path(path).read_bytes(), header_size)
+
+
+@contextlib.contextmanager
+def _patched_copy(carrier_path, out, header_size):
+    """Yield an `open_carrier` carrier over a copy of the carrier file.
+
+    The copy is made in a private directory next to `out` and replaces
+    `out` only when the block succeeds, so `out` is never left half
+    written, and `out` may be the carrier itself. The copy gets the mode
+    `out` has, or a new file's mode when `out` does not exist yet.
+    """
+    target = os.path.realpath(out)
+    tmp_dir = tempfile.mkdtemp(prefix=".stegostream-", dir=os.path.dirname(target))
+    try:
+        tmp = os.path.join(tmp_dir, "carrier")
+        shutil.copyfile(carrier_path, tmp)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        with container.open_carrier(tmp, header_size) as carrier:
+            yield carrier
+        os.replace(tmp, target)
+    finally:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
 
 
 def _choose_mode(carrier, message_len: int, requested: str | None) -> stego.StegoMode:
@@ -71,13 +98,12 @@ def _choose_mode(carrier, message_len: int, requested: str | None) -> stego.Steg
 
 
 def _cmd_embed(args) -> int:
-    carrier = _load_carrier(args.carrier, args.header_size)
     message_path = Path(args.message)
-    message = message_path.read_bytes()
-    mode = _choose_mode(carrier, len(message), args.mode)
-    payload = seal(message, stego.code_for_extension(message_path.suffix), _passphrase(args))
-    result = stego.embed(carrier, payload, mode)
-    Path(args.out).write_bytes(result.data)
+    with _patched_copy(args.carrier, args.out, args.header_size) as carrier:
+        message = message_path.read_bytes()
+        mode = _choose_mode(carrier, len(message), args.mode)
+        payload = seal(message, stego.code_for_extension(message_path.suffix), _passphrase(args))
+        stego.embed(carrier, payload, mode)
     print(f"mode={mode.value}")
     print(f"message_bytes={len(message)}")
     print(f"out={args.out}")
@@ -100,12 +126,11 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_delete(args) -> int:
-    carrier = _load_carrier(args.carrier, args.header_size)
     # the passphrase is not verifiable; take it from the env when offered,
     # but never prompt for a value nothing will check
     key = os.environ.get(args.key_env, "") if args.key_env else ""
-    result = stego.delete_message(carrier, key)
-    Path(args.out).write_bytes(result.data)
+    with _patched_copy(args.carrier, args.out, args.header_size) as carrier:
+        stego.delete_message(carrier, key)
     print(f"out={args.out}")
     return 0
 

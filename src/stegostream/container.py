@@ -9,7 +9,10 @@ the parser how many leading bytes to protect.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import mmap
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -42,9 +45,13 @@ class FormatInfo:
 
 @dataclass(frozen=True)
 class AudioCarrier:
-    """A parsed carrier file: raw bytes plus the protected header length."""
+    """A parsed carrier file: raw bytes plus the protected header length.
 
-    data: bytes
+    `data` is `bytes`, or a writable `memoryview` of a file mapping when
+    the carrier comes from `open_carrier`.
+    """
+
+    data: bytes | memoryview
     header_len: int
     format: FormatInfo
 
@@ -72,7 +79,27 @@ def parse_carrier(file_bytes: bytes, raw_header_override: int | None = None) -> 
     else needs `raw_header_override`: the number of leading bytes that must
     stay untouched (0 is fine for headerless blobs).
     """
-    data = bytes(file_bytes)
+    return _parse(bytes(file_bytes), raw_header_override)
+
+
+@contextlib.contextmanager
+def open_carrier(path, raw_header_override: int | None = None):
+    """Parse a carrier file in place, for patching it.
+
+    Yields an AudioCarrier whose `data` is a writable `memoryview` of a
+    shared `mmap` of the file, so writes to it change the file and only
+    the pages touched are read. The view is released when the block ends.
+    The file is parsed exactly as `parse_carrier` parses its bytes.
+    """
+    with open(path, "r+b") as file:
+        if os.fstat(file.fileno()).st_size == 0:
+            # mmap refuses an empty file; no carrier is empty, so this raises
+            _parse(b"", raw_header_override)
+        with mmap.mmap(file.fileno(), 0) as mapped, memoryview(mapped) as view:
+            yield _parse(view, raw_header_override)
+
+
+def _parse(data: bytes | memoryview, raw_header_override: int | None) -> AudioCarrier:
     if len(data) >= 12 and data[:4] == RIFF_TAG and data[8:12] == WAVE_TAG:
         return _parse_wav(data)
     if raw_header_override is not None:
@@ -97,13 +124,13 @@ def parse_carrier(file_bytes: bytes, raw_header_override: int | None = None) -> 
     raise UnknownFormat("not a RIFF/WAVE file; pass a raw header override to embed anyway")
 
 
-def _parse_wav(data: bytes) -> AudioCarrier:
+def _parse_wav(data: bytes | memoryview) -> AudioCarrier:
     fmt_fields = None
     data_offset = None
     data_len = None
     pos = 12
     while pos + 8 <= len(data):
-        tag = data[pos : pos + 4]
+        tag = bytes(data[pos : pos + 4])
         (size,) = struct.unpack_from("<I", data, pos + 4)
         payload_start = pos + 8
         if payload_start + size > len(data):
@@ -150,7 +177,6 @@ def samples_16(carrier: AudioCarrier) -> np.ndarray:
         raise UnsupportedDepth(
             f"expected 16 bits per sample, carrier has {carrier.format.bits_per_sample}"
         )
-    start = carrier.format.data_offset
-    payload = carrier.data[start : start + carrier.format.data_len]
-    usable = len(payload) - (len(payload) % 2)
-    return np.frombuffer(payload[:usable], dtype="<i2")
+    # a view of the carrier bytes, not a slice: slicing bytes copies them
+    return np.frombuffer(carrier.data, "<i2", count=carrier.format.data_len // 2,
+                         offset=carrier.format.data_offset)

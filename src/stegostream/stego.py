@@ -221,11 +221,28 @@ def _read_lanes(arr: np.ndarray, lanes: list[Lane]) -> bytes:
 
 # -- operations ---------------------------------------------------------------
 
+def _patch(carrier: AudioCarrier, write) -> AudioCarrier:
+    """Apply `write` to the carrier bytes as a uint8 array.
+
+    A carrier over a writable memoryview (`open_carrier`) is patched in
+    place and returned; any other carrier is left alone and a patched
+    copy is returned.
+    """
+    data = carrier.data
+    if isinstance(data, memoryview) and not data.readonly:
+        write(np.frombuffer(data, dtype=np.uint8))
+        return carrier
+    buf = bytearray(data)
+    write(np.frombuffer(buf, dtype=np.uint8))
+    return carrier.with_data(bytes(buf))
+
+
 def embed(carrier: AudioCarrier, payload: SealedPayload, mode: StegoMode) -> AudioCarrier:
-    """Write a sealed payload into a copy of the carrier.
+    """Write a sealed payload into the carrier.
 
     Only the selected bit planes of body bytes change; the header region
-    and every other bit plane are untouched.
+    and every other bit plane are untouched. An `open_carrier` carrier is
+    written in place and returned; any other gets a patched copy.
     """
     plan = plan_embed(carrier.header_len, payload.declared_size, mode)
     available = carrier.body_end
@@ -235,10 +252,9 @@ def embed(carrier: AudioCarrier, payload: SealedPayload, mode: StegoMode) -> Aud
             f"{payload.declared_size} bytes needs {plan.required_size} carrier "
             f"bytes, only {available} usable"
         )
-    buf = bytearray(carrier.data)
     header = _STREAM_HEADER.pack(mode.flag_bit, payload.file_type_code, payload.declared_size)
-    _write_lanes(np.frombuffer(buf, dtype=np.uint8), plan.lanes(), header + payload.ciphertext)
-    return carrier.with_data(bytes(buf))
+    stream = header + payload.ciphertext
+    return _patch(carrier, lambda arr: _write_lanes(arr, plan.lanes(), stream))
 
 
 def inspect_carrier(carrier: AudioCarrier) -> tuple[StegoMode, int, int]:
@@ -280,13 +296,14 @@ def extract(carrier: AudioCarrier, passphrase: str) -> tuple[bytes, str]:
 
 
 def delete_message(carrier: AudioCarrier, passphrase: str = "") -> AudioCarrier:
-    """Blank an embedded message in a copy of the carrier.
+    """Blank an embedded message in the carrier.
 
     Zeroes the LSBs of the size field and of the payload span, then clears
     the flag bit. 7th-bit planes are left alone to avoid extra noise, and
     the type field is kept, so deletion leaves recoverable residue in
     Excessive mode by design. The passphrase is accepted for interface
-    parity only; nothing verifies it.
+    parity only; nothing verifies it. An `open_carrier` carrier is
+    blanked in place and returned; any other gets a blanked copy.
     """
     mode, _, declared = inspect_carrier(carrier)
     if required_size(carrier.header_len, declared, mode) > carrier.body_end:
@@ -294,9 +311,10 @@ def delete_message(carrier: AudioCarrier, passphrase: str = "") -> AudioCarrier:
             f"declared size {declared} does not fit this carrier; nothing to delete"
         )
     plan = plan_embed(carrier.header_len, declared, mode)
-    buf = bytearray(carrier.data)
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    # the size field and the payload span are one contiguous run
-    arr[plan.size_field_range.start : plan.required_size] &= 0xFE
-    arr[plan.flag_offset] &= 0xFE
-    return carrier.with_data(bytes(buf))
+
+    def blank(arr):
+        # the size field and the payload span are one contiguous run
+        arr[plan.size_field_range.start : plan.required_size] &= 0xFE
+        arr[plan.flag_offset] &= 0xFE
+
+    return _patch(carrier, blank)

@@ -1,4 +1,7 @@
+import os
 import random
+import stat
+import sys
 
 import pytest
 
@@ -204,11 +207,14 @@ def test_prompt_used_when_no_env(tmp_path, carrier_wav, monkeypatch, capsys):
 
 def test_closed_stdin_at_prompt_is_empty_passphrase(tmp_path, carrier_wav, monkeypatch, capsys):
     def closed_stdin(prompt=""):
+        # without a tty getpass writes its prompt to stderr, then reads EOF
+        sys.stderr.write(prompt)
         raise EOFError
 
     monkeypatch.setattr("getpass.getpass", closed_stdin)
     assert cli.run(["extract", "--carrier", str(carrier_wav), "--out-dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: no passphrase: standard input is closed\n"
+    assert capsys.readouterr().err == (
+        "passphrase: \nerror: no passphrase: standard input is closed\n")
 
 
 def test_extract_never_replaces_a_file(tmp_path, carrier_wav, keyed_env, capsys):
@@ -228,6 +234,105 @@ def test_extract_never_replaces_a_file(tmp_path, carrier_wav, keyed_env, capsys)
     assert stego_path.read_bytes() == stego_bytes
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "carrier.wav", "song.wav", "stego-1.wav", "stego-2.wav", "stego.wav"]
+
+
+_SIZE_IMPLAUSIBLE = bytes([1] + [0] * 8 + [1] * 32 + [0] * 200)  # regular, size 2**32 - 1
+
+
+@pytest.mark.parametrize("command, carrier_bytes, header, code", [
+    ("embed", bytes(100), "0", 2),  # CapacityExceeded
+    ("embed", b"definitely not audio", None, 3),  # UnknownFormat
+    ("delete", b"definitely not audio", None, 3),
+    ("delete", _SIZE_IMPLAUSIBLE, "0", 5),
+], ids=["embed-capacity", "embed-format", "delete-format", "delete-size"])
+@pytest.mark.parametrize("out_exists", [False, True], ids=["new-out", "old-out"])
+def test_failed_patch_leaves_no_file(command, carrier_bytes, header, code, out_exists,
+                                     tmp_path, keyed_env, capsys):
+    carrier = tmp_path / "carrier.bin"
+    carrier.write_bytes(carrier_bytes)
+    message = tmp_path / "m.bin"
+    message.write_bytes(bytes(64))
+    out = tmp_path / "out.bin"
+    if out_exists:
+        out.write_bytes(b"left alone")
+    before = sorted(tmp_path.iterdir())
+    argv = [command, "--carrier", str(carrier), "--out", str(out), "--key-env", keyed_env]
+    argv += ["--message", str(message)] if command == "embed" else []
+    argv += ["--header-size", header] if header else []
+    assert cli.run(argv) == code
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.iterdir()) == before
+    assert carrier.read_bytes() == carrier_bytes
+    if out_exists:
+        assert out.read_bytes() == b"left alone"
+
+
+def test_out_may_be_the_carrier(tmp_path, carrier_wav, keyed_env, capsys):
+    message = tmp_path / "m.txt"
+    message.write_bytes(b"written over its own carrier")
+    stego_path, deleted = tmp_path / "stego.wav", tmp_path / "deleted.wav"
+    for out in (stego_path, carrier_wav):
+        assert cli.run(["embed", "--carrier", str(carrier_wav), "--message", str(message),
+                        "--key-env", keyed_env, "--out", str(out)]) == 0
+    assert carrier_wav.read_bytes() == stego_path.read_bytes()
+    for out in (deleted, carrier_wav):
+        assert cli.run(["delete", "--carrier", str(carrier_wav), "--out", str(out)]) == 0
+    assert carrier_wav.read_bytes() == deleted.read_bytes() != stego_path.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "carrier.wav", "deleted.wav", "m.txt", "stego.wav"]
+    capsys.readouterr()
+
+
+def test_out_gets_a_new_files_mode(tmp_path, carrier_wav, keyed_env, capsys):
+    message = tmp_path / "m.txt"
+    message.write_bytes(b"mode")
+    kept = tmp_path / "kept.wav"
+    kept.write_bytes(b"")
+    kept.chmod(0o604)
+    umask = os.umask(0o027)
+    try:
+        for out in (tmp_path / "new.wav", kept):
+            assert cli.run(["embed", "--carrier", str(carrier_wav), "--message", str(message),
+                            "--key-env", keyed_env, "--out", str(out)]) == 0
+            assert cli.run(["delete", "--carrier", str(out),
+                            "--out", str(out.with_suffix(".d"))]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"carrier.wav": modes["carrier.wav"], "m.txt": modes["m.txt"],
+                     "new.wav": 0o640, "new.d": 0o640, "kept.wav": 0o604, "kept.d": 0o640}
+    capsys.readouterr()
+
+
+def test_symlinked_out_is_written_through(tmp_path, carrier_wav, keyed_env, capsys):
+    message = tmp_path / "m.txt"
+    message.write_bytes(b"through the link")
+    target, link, plain = tmp_path / "target.wav", tmp_path / "link.wav", tmp_path / "plain.wav"
+    target.write_bytes(b"")
+    link.symlink_to(target)
+    for out in (link, plain):
+        assert cli.run(["embed", "--carrier", str(carrier_wav), "--message", str(message),
+                        "--key-env", keyed_env, "--out", str(out)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("header, message", [
+    (None, "not a RIFF/WAVE file; pass a raw header override to embed anyway"),
+    ("0", "header override 0 leaves no body (file is 0 bytes)"),
+])
+@pytest.mark.parametrize("command", ["embed", "delete"])
+def test_empty_carrier_is_a_format_error(command, header, message, tmp_path, keyed_env, capsys):
+    carrier = tmp_path / "empty.wav"
+    carrier.write_bytes(b"")
+    argv = [command, "--carrier", str(carrier), "--out", str(tmp_path / "o"),
+            "--key-env", keyed_env]
+    argv += ["--message", str(carrier)] if command == "embed" else []
+    argv += ["--header-size", header] if header else []
+    assert cli.run(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.wav"]
 
 
 def test_snr_and_compare_reports(tmp_path, carrier_wav, keyed_env, capsys):

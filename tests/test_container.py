@@ -1,10 +1,12 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 from stegostream.container import (
     CarrierKind,
+    open_carrier,
     parse_carrier,
     samples_16,
 )
@@ -161,3 +163,26 @@ def test_truncation_fuzz_never_crashes(canonical_wav):
         cut = rng.randrange(len(canonical_wav))
         with pytest.raises(StegoStreamError):
             parse_carrier(canonical_wav[:cut])
+
+
+def test_open_carrier_fails_like_parse_carrier(canonical_wav, tmp_path):
+    path = tmp_path / "cut.wav"
+    # an empty file, which mmap refuses, and WAVs cut inside each chunk
+    cases = [(0, None), (0, 0), (3, None), (12, None), (20, None), (40, None), (500, None)]
+    for cut, header in cases:
+        path.write_bytes(canonical_wav[:cut])
+        with pytest.raises(StegoStreamError) as expected:
+            parse_carrier(canonical_wav[:cut], header)
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            with open_carrier(path, header):
+                pass
+
+
+def test_open_carrier_writes_through_to_the_file(canonical_wav, tmp_path):
+    path = tmp_path / "c.wav"
+    path.write_bytes(canonical_wav)
+    with open_carrier(path) as carrier:
+        assert carrier.header_len == parse_carrier(canonical_wav).header_len
+        assert carrier.data == canonical_wav
+        carrier.data[50] ^= 0x01
+    assert [i for i, (a, b) in enumerate(zip(canonical_wav, path.read_bytes())) if a != b] == [50]

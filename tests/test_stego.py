@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stegostream.cipher import SealedPayload, seal
-from stegostream.container import parse_carrier
+from stegostream.container import open_carrier, parse_carrier
 from stegostream.errors import CapacityExceeded, CarrierTooSmall, SizeImplausible
 from stegostream.stego import (
     StegoMode,
@@ -348,6 +348,53 @@ def test_delete_implausible_size():
         data[offset] = 1
     with pytest.raises(SizeImplausible):
         delete_message(parse_carrier(bytes(data), 0))
+
+
+# -- patching a carrier file in place -------------------------------------------
+
+@st.composite
+def carrier_files(draw):
+    """(file bytes, raw header override): a raw carrier, or a WAV whose data
+    chunk may be odd-sized (RIFF pad byte) and followed by another chunk."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        header_len = draw(st.integers(min_value=0, max_value=64))
+        size = header_len + draw(st.integers(min_value=1, max_value=700))
+        return bytes(rng.randrange(256) for _ in range(size)), header_len
+    body = bytes(rng.randrange(256) for _ in range(draw(st.integers(min_value=1, max_value=700))))
+    pre, post = [], []
+    if draw(st.booleans()):  # random header length
+        pre.append((b"LIST", b"l" * draw(st.integers(min_value=0, max_value=41))))
+    if draw(st.booleans()):
+        post.append((b"cue ", b"c" * draw(st.integers(min_value=0, max_value=13))))
+    return build_wav(body, pre_data_chunks=pre, post_data_chunks=post), None
+
+
+def _patched_in_place(path, file_bytes, header, operation) -> bytes:
+    path.write_bytes(file_bytes)
+    with open_carrier(path, header) as carrier:
+        assert operation(carrier) is carrier
+    return path.read_bytes()
+
+
+@given(carrier_files(), st.sampled_from(MODES), st.data())
+def test_in_place_equals_copy(tmp_path_factory, carrier_file, mode, data):
+    file_bytes, header = carrier_file
+    carrier = parse_carrier(file_bytes, header)
+    fit = capacity(carrier, mode)
+    assume(fit >= 1)
+    size = data.draw(st.integers(min_value=1, max_value=min(fit, 64)))
+    payload = SealedPayload(data.draw(st.binary(min_size=size, max_size=size)), 2, size)
+    path = tmp_path_factory.getbasetemp() / "in-place.bin"
+    h, end = carrier.header_len, carrier.body_end
+
+    stego = _patched_in_place(path, file_bytes, header, lambda c: embed(c, payload, mode))
+    assert stego == embed(carrier, payload, mode).data
+    assert stego[:h] == file_bytes[:h] and stego[end:] == file_bytes[end:]
+
+    cleaned = _patched_in_place(path, stego, header, delete_message)
+    assert cleaned == delete_message(parse_carrier(stego, header)).data
+    assert cleaned[:h] == file_bytes[:h] and cleaned[end:] == file_bytes[end:]
 
 
 # -- file types ----------------------------------------------------------------
