@@ -136,12 +136,12 @@ def _cmd_delete(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    carrier = _load_carrier(args.carrier, args.header_size)
-    mode, type_code, declared = stego.inspect_carrier(carrier)
-    plausible = (
-        declared >= 1
-        and stego.required_size(carrier.header_len, declared, mode) <= carrier.body_end
-    )
+    with container.open_carrier(args.carrier, args.header_size, write=False) as carrier:
+        mode, type_code, declared = stego.inspect_carrier(carrier)
+        plausible = (
+            declared >= 1
+            and stego.required_size(carrier.header_len, declared, mode) <= carrier.body_end
+        )
     print(f"mode={mode.value}")
     print(f"file_type_code={type_code:#04x}")
     print(f"extension={stego.extension_for_code(type_code)}")
@@ -151,24 +151,26 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    carrier = _load_carrier(args.carrier, args.header_size)
-    for mode in stego.StegoMode:
-        print(f"{mode.value}_capacity_bytes={stego.capacity(carrier, mode)}")
+    with container.open_carrier(args.carrier, args.header_size, write=False) as carrier:
+        for mode in stego.StegoMode:
+            print(f"{mode.value}_capacity_bytes={stego.capacity(carrier, mode)}")
     return 0
 
 
-def _load_sample_pair(args):
-    original = _load_carrier(args.original, None)
-    modified = _load_carrier(args.stego, None)
-    frame_len = quality.default_frame_len(original.format.sample_rate, args.frame_ms)
-    return original, modified, frame_len
+@contextlib.contextmanager
+def _open_sample_pair(args):
+    """Yield both WAVs of `snr`/`compare`, mapped read-only, and the frame length."""
+    with container.open_carrier(args.original, write=False) as original, \
+            container.open_carrier(args.stego, write=False) as modified:
+        yield original, modified, quality.default_frame_len(original.format.sample_rate,
+                                                            args.frame_ms)
 
 
 def _cmd_snr(args) -> int:
-    original, modified, frame_len = _load_sample_pair(args)
-    seg_snr_db, frames_used = quality.mean_snr(
-        container.samples_16(original), container.samples_16(modified), frame_len
-    )
+    with _open_sample_pair(args) as (original, modified, frame_len):
+        seg_snr_db, frames_used = quality.mean_snr(
+            container.samples_16(original), container.samples_16(modified), frame_len
+        )
     print(f"seg_snr_db={seg_snr_db:.6f}")
     print(f"frames_used={frames_used}")
     print(f"frame_len={frame_len}")
@@ -176,8 +178,9 @@ def _cmd_snr(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    original, modified, frame_len = _load_sample_pair(args)
-    for line in quality.report(original, modified, frame_len, args.max_lag).lines():
+    with _open_sample_pair(args) as (original, modified, frame_len):
+        report = quality.report(original, modified, frame_len, args.max_lag)
+    for line in report.lines():
         print(line)
     return 0
 

@@ -47,8 +47,9 @@ class FormatInfo:
 class AudioCarrier:
     """A parsed carrier file: raw bytes plus the protected header length.
 
-    `data` is `bytes`, or a writable `memoryview` of a file mapping when
-    the carrier comes from `open_carrier`.
+    `data` is `bytes`, or a `memoryview` of a file mapping when the
+    carrier comes from `open_carrier`: writable by default, read-only
+    with `write=False`.
     """
 
     data: bytes | memoryview
@@ -83,20 +84,31 @@ def parse_carrier(file_bytes: bytes, raw_header_override: int | None = None) -> 
 
 
 @contextlib.contextmanager
-def open_carrier(path, raw_header_override: int | None = None):
-    """Parse a carrier file in place, for patching it.
+def open_carrier(path, raw_header_override: int | None = None, *, write: bool = True):
+    """Parse a carrier file in place, for patching or reading it.
 
-    Yields an AudioCarrier whose `data` is a writable `memoryview` of a
-    shared `mmap` of the file, so writes to it change the file and only
-    the pages touched are read. The view is released when the block ends.
-    The file is parsed exactly as `parse_carrier` parses its bytes.
+    Yields an AudioCarrier whose `data` is a `memoryview` of a shared
+    `mmap` of the file, so only the pages touched are read. By default
+    the view is writable and writes to it change the file; with
+    `write=False` the file is opened read-only (a mode-0444 file will
+    do) and so is the view. The view is released when the block ends,
+    or, while an exception's traceback still holds arrays over it, when
+    they are freed. The file is parsed exactly as `parse_carrier` parses
+    its bytes.
     """
-    with open(path, "r+b") as file:
+    with open(path, "r+b" if write else "rb") as file:
         if os.fstat(file.fileno()).st_size == 0:
             # mmap refuses an empty file; no carrier is empty, so this raises
             _parse(b"", raw_header_override)
-        with mmap.mmap(file.fileno(), 0) as mapped, memoryview(mapped) as view:
-            yield _parse(view, raw_header_override)
+        mapped = mmap.mmap(file.fileno(), 0,
+                           access=mmap.ACCESS_WRITE if write else mmap.ACCESS_READ)
+    view = memoryview(mapped)
+    try:
+        yield _parse(view, raw_header_override)
+    finally:
+        with contextlib.suppress(BufferError):
+            view.release()
+            mapped.close()
 
 
 def _parse(data: bytes | memoryview, raw_header_override: int | None) -> AudioCarrier:

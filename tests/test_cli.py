@@ -1,3 +1,4 @@
+import builtins
 import os
 import random
 import stat
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from stegostream import cli, stego
+from stegostream import cli, container, stego
 from stegostream.cipher import SealedPayload
 from stegostream.container import parse_carrier
 from stegostream.errors import StegoStreamError
@@ -389,6 +390,63 @@ def test_snr_and_compare_output_is_pinned(mode, tmp_path, capsys):
 def test_snr_identical_files_hits_cap(carrier_wav, capsys):
     assert cli.run(["snr", "--original", str(carrier_wav), "--stego", str(carrier_wav)]) == 0
     assert "seg_snr_db=100.0" in capsys.readouterr().out
+
+
+def _reading_commands(original, modified):
+    """argv of each command that only reads carrier files."""
+    return [["compare", "--original", str(original), "--stego", str(modified)],
+            ["snr", "--original", str(original), "--stego", str(modified)],
+            ["inspect", str(modified)], ["capacity", str(modified)]]
+
+
+def test_reading_commands_map_read_only(tmp_path, carrier_wav, keyed_env, capsys, monkeypatch):
+    message = tmp_path / "m.txt"
+    message.write_bytes(bytes(200))
+    out = tmp_path / "s.wav"
+    assert cli.run(["embed", "--carrier", str(carrier_wav), "--message", str(message),
+                    "--key-env", keyed_env, "--out", str(out)]) == 0
+    commands = _reading_commands(carrier_wav, out)
+    expected = []
+    for argv in commands:
+        capsys.readouterr()
+        assert cli.run(argv) == 0
+        expected.append(capsys.readouterr().out)
+    # mode 0444 stops only non-root users, so also record how the files are opened
+    modes = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(container, "open", spy, raising=False)
+    for path in (carrier_wav, out):
+        path.chmod(0o444)
+    for argv, want in zip(commands, expected):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == want
+    assert modes == ["rb"] * 6
+    assert "mode=regular" in expected[2]
+
+
+@pytest.mark.parametrize("cut", [0, 100], ids=["empty", "cut-in-data"])
+def test_reading_commands_fail_like_parse_carrier(cut, tmp_path, carrier_wav, capsys):
+    broken = tmp_path / "broken.wav"
+    broken.write_bytes(carrier_wav.read_bytes()[:cut])
+    with pytest.raises(StegoStreamError) as expected:
+        parse_carrier(broken.read_bytes())
+    assert expected.value.exit_code == 3
+    for argv in _reading_commands(carrier_wav, broken) + _reading_commands(broken, carrier_wav)[:2]:
+        assert cli.run(argv) == 3
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+
+def test_unequal_sample_counts_are_a_length_mismatch(tmp_path, carrier_wav, capsys):
+    # the error leaves with sample views of the mapped files still referenced
+    longer = tmp_path / "longer.wav"
+    longer.write_bytes(build_wav(pcm16_bytes([1] * 4001)))
+    for command in ("compare", "snr"):
+        assert cli.run([command, "--original", str(carrier_wav), "--stego", str(longer)]) == 3
+        assert capsys.readouterr().err == "error: sample counts differ: 4000 vs 4001\n"
 
 
 def test_send_recv_through_cli(tmp_path, capsys):

@@ -173,9 +173,10 @@ def test_open_carrier_fails_like_parse_carrier(canonical_wav, tmp_path):
         path.write_bytes(canonical_wav[:cut])
         with pytest.raises(StegoStreamError) as expected:
             parse_carrier(canonical_wav[:cut], header)
-        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-            with open_carrier(path, header):
-                pass
+        for write in (True, False):
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                with open_carrier(path, header, write=write):
+                    pass
 
 
 def test_open_carrier_writes_through_to_the_file(canonical_wav, tmp_path):
@@ -186,3 +187,17 @@ def test_open_carrier_writes_through_to_the_file(canonical_wav, tmp_path):
         assert carrier.data == canonical_wav
         carrier.data[50] ^= 0x01
     assert [i for i, (a, b) in enumerate(zip(canonical_wav, path.read_bytes())) if a != b] == [50]
+
+
+def test_open_carrier_read_only(canonical_wav, tmp_path):
+    path = tmp_path / "c.wav"
+    path.write_bytes(canonical_wav)
+    path.chmod(0o444)
+    with open_carrier(path, write=False) as carrier:
+        assert carrier.data.readonly
+        assert carrier.data == canonical_wav
+        assert carrier.format == parse_carrier(canonical_wav).format
+        with pytest.raises(TypeError):
+            carrier.data[50] ^= 0x01
+        assert samples_16(carrier).tolist() == samples_16(parse_carrier(canonical_wav)).tolist()
+    assert path.read_bytes() == canonical_wav

@@ -1,11 +1,13 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stegostream import quality
 from stegostream.cipher import SealedPayload
 from stegostream.container import parse_carrier, samples_16
 from stegostream.errors import EmptyInput, LengthMismatch, TooShort
@@ -159,6 +161,45 @@ def test_waveform_compare_matches_reference_loop(a, b, max_lag):
     assert repr(waveform_compare(a, b, max_lag)) == repr(_reference_waveform_compare(a, b, max_lag))
 
 
+_int16_arrays = st.lists(st.integers(min_value=-2, max_value=2)
+                        | st.integers(min_value=-32768, max_value=32767),
+                        min_size=1, max_size=40).map(lambda v: np.asarray(v, dtype=np.int16))
+
+
+@settings(max_examples=300)
+@given(_int16_arrays, _int16_arrays, st.integers(min_value=0, max_value=60),
+       st.sampled_from([1, 3, 7]))
+@example(np.array([-1, -1], np.int16), np.array([0, 0, 5], np.int16), 2, 1)  # a -0.0 per block
+@example(np.array([-1], np.int16), np.array([0, 1], np.int16), 3, 1)
+def test_blocked_waveform_compare_matches_reference_loop(a, b, max_lag, block):
+    # int16 block dots are exact, so blocking may not change a single bit
+    with mock.patch.object(quality, "BLOCK_SAMPLES", block):
+        got = waveform_compare(a, b, max_lag)
+    assert repr(got) == repr(_reference_waveform_compare(a, b, max_lag))
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=60),
+       st.sampled_from([1, 3, 7]))
+def test_blocked_frame_snrs_equal_one_block(seed, frame_len, block):
+    rng = np.random.default_rng(seed)
+    original = rng.integers(-32768, 32768, 500, dtype=np.int16)
+    modified = original ^ rng.integers(0, 4, 500, dtype=np.int16)
+    modified[:frame_len] = original[:frame_len]  # one frame at the cap
+    original[-frame_len:] = 0  # and one skipped
+    with mock.patch.object(quality, "BLOCK_SAMPLES", block):
+        blocked = frame_snrs(original, modified, frame_len)
+    assert blocked == frame_snrs(original, modified, frame_len)
+
+
+def test_blocked_lengths_still_mismatch():
+    with mock.patch.object(quality, "BLOCK_SAMPLES", 3):
+        with pytest.raises(LengthMismatch, match="sample counts differ: 10 vs 11"):
+            frame_snrs(np.ones(10, np.int16), np.ones(11, np.int16), 2)
+        with pytest.raises(LengthMismatch, match="byte counts differ: 10 vs 11"):
+            bitplane_diff(memoryview(bytes(10)), memoryview(bytes(11)))
+
+
 # -- bitplane diff ---------------------------------------------------------------
 
 def test_bitplane_diff_counts():
@@ -166,6 +207,20 @@ def test_bitplane_diff_counts():
     assert bitplane_diff(b"\x00", b"\x01") == (1, 0, 0)
     assert bitplane_diff(b"\x00", b"\x03") == (1, 1, 0)
     assert bitplane_diff(b"\x00\x00", b"\x04\x03") == (1, 1, 1)
+
+
+@settings(max_examples=100)
+@given(st.binary(max_size=100), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1, 3, 7]))
+def test_blocked_bitplane_diff_on_memoryviews(before, seed, block):
+    rng = random.Random(seed)
+    after = bytes(byte ^ rng.choice((0, 1, 2, 3, 4, 0x80)) for byte in before)
+    deltas = [x ^ y for x, y in zip(before, after)]
+    expected = (sum(d & 0x01 != 0 for d in deltas), sum(d & 0x02 != 0 for d in deltas),
+                sum(d & 0xFC != 0 for d in deltas))
+    # blocks of 8, 24 and 56 bytes
+    with mock.patch.object(quality, "BLOCK_SAMPLES", block):
+        assert bitplane_diff(memoryview(before), memoryview(after)) == expected
 
 
 def test_bitplane_diff_length_guard():
