@@ -17,7 +17,6 @@ from .stego import (
     inspect_carrier,
     plan_embed,
     read_bit,
-    required_size,
 )
 from .transfer import FileReceiver, send_file
 
@@ -44,7 +43,6 @@ __all__ = [
     "parse_carrier",
     "plan_embed",
     "read_bit",
-    "required_size",
     "samples_16",
     "seal",
     "segmental_snr",

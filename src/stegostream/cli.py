@@ -88,7 +88,8 @@ def _choose_mode(carrier, message_len: int, requested: str | None) -> stego.Steg
     if requested:
         return stego.StegoMode(requested)
     for mode in (stego.StegoMode.REGULAR, stego.StegoMode.EXCESSIVE):
-        if stego.required_size(carrier.header_len, message_len, mode) <= carrier.body_end:
+        plan = stego.plan_embed(carrier.header_len, message_len, mode)
+        if plan.required_size <= carrier.body_end:
             return mode
     raise CapacityExceeded(
         f"message of {message_len} bytes fits neither mode: "
@@ -103,9 +104,10 @@ def _cmd_embed(args) -> int:
         message = message_path.read_bytes()
         mode = _choose_mode(carrier, len(message), args.mode)
         payload = seal(message, stego.code_for_extension(message_path.suffix), _passphrase(args))
+        del message  # the ciphertext is all embed needs
         stego.embed(carrier, payload, mode)
     print(f"mode={mode.value}")
-    print(f"message_bytes={len(message)}")
+    print(f"message_bytes={payload.declared_size}")
     print(f"out={args.out}")
     return 0
 
@@ -138,10 +140,8 @@ def _cmd_delete(args) -> int:
 def _cmd_inspect(args) -> int:
     with container.open_carrier(args.carrier, args.header_size, write=False) as carrier:
         mode, type_code, declared = stego.inspect_carrier(carrier)
-        plausible = (
-            declared >= 1
-            and stego.required_size(carrier.header_len, declared, mode) <= carrier.body_end
-        )
+        plan = stego.plan_embed(carrier.header_len, declared, mode)
+        plausible = declared >= 1 and plan.required_size <= carrier.body_end
     print(f"mode={mode.value}")
     print(f"file_type_code={type_code:#04x}")
     print(f"extension={stego.extension_for_code(type_code)}")

@@ -175,11 +175,6 @@ def plan_embed(header_len: int, message_len: int, mode: StegoMode) -> EmbedPlan:
     )
 
 
-def required_size(header_len: int, message_len: int, mode: StegoMode) -> int:
-    """Minimum carrier byte count for a message of `message_len` bytes."""
-    return plan_embed(header_len, message_len, mode).required_size
-
-
 def capacity(carrier: AudioCarrier, mode: StegoMode) -> int:
     """Largest message byte count the carrier can hold in the given mode."""
     room = carrier.body_end - carrier.header_len - mode.reserved_bytes
@@ -191,32 +186,59 @@ def capacity(carrier: AudioCarrier, mode: StegoMode) -> int:
 # -- lane I/O ----------------------------------------------------------------
 
 # the stream is struct.pack(">BBI", flag, type, size) + ciphertext with the
-# flag byte's 7 high (always zero) bits dropped
+# flag byte's 7 high (always zero) bits dropped; the metadata lanes carry
+# the header, and the payload lanes carry the ciphertext from its bit 0
 _STREAM_PAD_BITS = 7
 _STREAM_HEADER = struct.Struct(">BBI")
 
+# stream bits per lane step (32 KiB of stream bytes); memory stays at one
+# chunk's bits, and 2^16-2^20 ran about equally fast on 4-8 MB messages
+_CHUNK_BITS = 1 << 18
 
-def _write_lanes(arr: np.ndarray, lanes: list[Lane], stream: bytes):
-    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[_STREAM_PAD_BITS:]
-    pos = 0
+
+def _split_lanes(plan: EmbedPlan) -> tuple[list[Lane], list[Lane]]:
+    """(metadata lanes, payload lanes): the last two lanes are head and tail."""
+    lanes = plan.lanes()
+    return lanes[:-2], lanes[-2:]
+
+
+def _chunks(arr: np.ndarray, lanes: list[Lane]):
+    """Yield (carrier view, plane) for runs of at most `_CHUNK_BITS` stream bits."""
     for lane in lanes:
-        chunk = bits[pos : pos + lane.count]
-        chunk <<= lane.plane
         view = lane.view(arr)
-        view &= np.uint8(0xFF ^ (1 << lane.plane))
-        view |= chunk
-        pos += lane.count
+        for i in range(0, lane.count, _CHUNK_BITS):
+            yield view[i : i + _CHUNK_BITS], lane.plane
 
 
-def _read_lanes(arr: np.ndarray, lanes: list[Lane]) -> bytes:
-    bits = np.zeros(_STREAM_PAD_BITS + sum(lane.count for lane in lanes), dtype=np.uint8)
-    pos = _STREAM_PAD_BITS
-    for lane in lanes:
-        out = bits[pos : pos + lane.count]
-        np.right_shift(lane.view(arr), lane.plane, out=out)
-        out &= 1
-        pos += lane.count
-    return np.packbits(bits).tobytes()
+def _write_lanes(arr: np.ndarray, lanes: list[Lane], data: bytes, skip: int = 0):
+    """Write the bits of `data`, MSB-first from bit `skip` on, over the lanes."""
+    src = np.frombuffer(data, dtype=np.uint8)
+    pos = skip
+    for out, plane in _chunks(arr, lanes):
+        n, lo = len(out), pos & 7
+        bits = np.unpackbits(src[pos >> 3 : (pos + n + 7) >> 3])[lo : lo + n]
+        bits <<= plane
+        out &= np.uint8(0xFF ^ (1 << plane))
+        out |= bits
+        pos += n
+
+
+def _read_lanes(arr: np.ndarray, lanes: list[Lane], skip: int = 0) -> bytes:
+    """Pack `skip` zero bits, then the lanes' bits, MSB-first into bytes."""
+    total = skip + sum(lane.count for lane in lanes)
+    out = np.empty(total // 8, dtype=np.uint8)
+    bits = np.zeros(min(total, _CHUNK_BITS) + 8, dtype=np.uint8)
+    fill, at = skip, 0  # `fill` bits wait in `bits`, fewer than 8 between chunks
+    for view, plane in _chunks(arr, lanes):
+        end = fill + len(view)
+        np.right_shift(view, plane, out=bits[fill:end])
+        bits[fill:end] &= 1
+        whole = end >> 3
+        out[at : at + whole] = np.packbits(bits[: 8 * whole])
+        at += whole
+        fill = end & 7
+        bits[:fill] = bits[8 * whole : end]
+    return out.tobytes()
 
 
 # -- operations ---------------------------------------------------------------
@@ -253,8 +275,13 @@ def embed(carrier: AudioCarrier, payload: SealedPayload, mode: StegoMode) -> Aud
             f"bytes, only {available} usable"
         )
     header = _STREAM_HEADER.pack(mode.flag_bit, payload.file_type_code, payload.declared_size)
-    stream = header + payload.ciphertext
-    return _patch(carrier, lambda arr: _write_lanes(arr, plan.lanes(), stream))
+    metadata, payload_lanes = _split_lanes(plan)
+
+    def write(arr):
+        _write_lanes(arr, metadata, header, _STREAM_PAD_BITS)
+        _write_lanes(arr, payload_lanes, payload.ciphertext)
+
+    return _patch(carrier, write)
 
 
 def inspect_carrier(carrier: AudioCarrier) -> tuple[StegoMode, int, int]:
@@ -274,8 +301,8 @@ def inspect_carrier(carrier: AudioCarrier) -> tuple[StegoMode, int, int]:
             f"({limit - h} bytes past header, {mode.reserved_bytes} needed)"
         )
     arr = np.frombuffer(carrier.data, dtype=np.uint8)
-    stream = _read_lanes(arr, plan_embed(h, 0, mode).lanes())
-    _, type_code, declared = _STREAM_HEADER.unpack(stream)
+    metadata, _ = _split_lanes(plan_embed(h, 0, mode))
+    _, type_code, declared = _STREAM_HEADER.unpack(_read_lanes(arr, metadata, _STREAM_PAD_BITS))
     return mode, type_code, declared
 
 
@@ -285,13 +312,14 @@ def extract(carrier: AudioCarrier, passphrase: str) -> tuple[bytes, str]:
     A wrong passphrase produces garbage plaintext, not an error.
     """
     mode, type_code, declared = inspect_carrier(carrier)
-    if declared < 1 or required_size(carrier.header_len, declared, mode) > carrier.body_end:
+    plan = plan_embed(carrier.header_len, declared, mode)
+    if declared < 1 or plan.required_size > carrier.body_end:
         raise SizeImplausible(
             f"declared size {declared} does not fit this carrier; no valid message"
         )
-    plan = plan_embed(carrier.header_len, declared, mode)
-    stream = _read_lanes(np.frombuffer(carrier.data, dtype=np.uint8), plan.lanes())
-    payload = SealedPayload(stream[_STREAM_HEADER.size :], type_code, declared)
+    _, payload_lanes = _split_lanes(plan)
+    ciphertext = _read_lanes(np.frombuffer(carrier.data, dtype=np.uint8), payload_lanes)
+    payload = SealedPayload(ciphertext, type_code, declared)
     return unseal(payload, passphrase), extension_for_code(type_code)
 
 
@@ -306,11 +334,11 @@ def delete_message(carrier: AudioCarrier, passphrase: str = "") -> AudioCarrier:
     blanked in place and returned; any other gets a blanked copy.
     """
     mode, _, declared = inspect_carrier(carrier)
-    if required_size(carrier.header_len, declared, mode) > carrier.body_end:
+    plan = plan_embed(carrier.header_len, declared, mode)
+    if plan.required_size > carrier.body_end:
         raise SizeImplausible(
             f"declared size {declared} does not fit this carrier; nothing to delete"
         )
-    plan = plan_embed(carrier.header_len, declared, mode)
 
     def blank(arr):
         # the size field and the payload span are one contiguous run

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stegostream import stego as stego_module
 from stegostream.cipher import SealedPayload, seal
 from stegostream.container import open_carrier, parse_carrier
 from stegostream.errors import CapacityExceeded, CarrierTooSmall, SizeImplausible
@@ -18,7 +20,6 @@ from stegostream.stego import (
     inspect_carrier,
     plan_embed,
     read_bit,
-    required_size,
 )
 
 from conftest import build_wav
@@ -75,14 +76,14 @@ def test_required_size_closed_forms():
     for h in (0, 44):
         for m in range(0, 12):
             head = (m + 1) // 2
-            assert required_size(h, m, StegoMode.REGULAR) == h + 41 + 16 * head
-            assert required_size(h, m, StegoMode.EXCESSIVE) == h + 21 + 8 * head
+            assert plan_embed(h, m, StegoMode.REGULAR).required_size == h + 41 + 16 * head
+            assert plan_embed(h, m, StegoMode.EXCESSIVE).required_size == h + 21 + 8 * head
 
 
 def brute_force_capacity(limit, header_len, mode):
     best = 0
     m = 1
-    while required_size(header_len, m, mode) <= limit:
+    while plan_embed(header_len, m, mode).required_size <= limit:
         best = m
         m += 1
     return best
@@ -169,6 +170,26 @@ def test_embed_matches_reference(mode, message_len):
         stego = embed(carrier, SealedPayload(ciphertext, type_code, message_len), mode)
         expected = reference_embed(carrier.data, header_len, ciphertext, type_code, mode.value)
         assert stego.data == expected
+
+
+@pytest.mark.parametrize("chunk_bits", [8, 13])
+@pytest.mark.parametrize("mode", MODES)
+def test_chunked_lanes_match_reference(tmp_path, monkeypatch, chunk_bits, mode):
+    # small chunks put many chunk boundaries inside every lane, byte-aligned or not
+    monkeypatch.setattr(stego_module, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(chunk_bits)
+    for header_len in (0, 5):
+        for message_len in (1, 6, 37):
+            carrier = raw_carrier(rng, 800, header_len)
+            plaintext = bytes(rng.randrange(256) for _ in range(message_len))
+            payload = seal(plaintext, 0x03, "key")
+            stego = embed(carrier, payload, mode)
+            expected = reference_embed(carrier.data, header_len, payload.ciphertext, 0x03,
+                                       mode.value)
+            assert stego.data == expected
+            assert _patched_in_place(tmp_path / "carrier.bin", carrier.data, header_len,
+                                     lambda c: embed(c, payload, mode)) == expected
+            assert extract(stego, "key") == (plaintext, "mp3")
 
 
 # -- inspect ------------------------------------------------------------------
@@ -274,8 +295,8 @@ def test_embed_confinement_random(mode, allowed, bound):
     for _ in range(20):
         header_len = rng.randrange(0, 60)
         message_len = rng.randrange(1, 50)
-        carrier = raw_carrier(rng, required_size(header_len, message_len, mode) + rng.randrange(0, 64),
-                              header_len)
+        size = plan_embed(header_len, message_len, mode).required_size + rng.randrange(0, 64)
+        carrier = raw_carrier(rng, size, header_len)
         ciphertext = bytes(rng.randrange(256) for _ in range(message_len))
         stego = embed(carrier, SealedPayload(ciphertext, 1, message_len), mode)
         deltas = [a ^ b for a, b in zip(carrier.data, stego.data)]
@@ -395,6 +416,32 @@ def test_in_place_equals_copy(tmp_path_factory, carrier_file, mode, data):
     cleaned = _patched_in_place(path, stego, header, delete_message)
     assert cleaned == delete_message(parse_carrier(stego, header)).data
     assert cleaned[:h] == file_bytes[:h] and cleaned[end:] == file_bytes[end:]
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_lane_memory_does_not_grow_with_the_message(tmp_path, mode):
+    # a whole-stream bit array would cost 8 bytes per message byte
+    message_len = 2 << 20
+    plaintext = random.Random(5).randbytes(message_len)
+    payload = seal(plaintext, 0, "key")
+    path = tmp_path / "carrier.bin"
+    with open(path, "wb") as file:
+        file.truncate(plan_embed(0, message_len, mode).required_size)
+    with open_carrier(path, 0) as carrier:
+        _, embed_peak = _traced_peak(lambda: embed(carrier, payload, mode))
+        (got, _), extract_peak = _traced_peak(lambda: extract(carrier, "key"))
+    assert got == plaintext
+    assert embed_peak <= 1 << 20
+    assert extract_peak <= 2.5 * message_len
 
 
 # -- file types ----------------------------------------------------------------
