@@ -57,10 +57,6 @@ def _passphrase(args) -> str:
         raise EmptyPassphrase("no passphrase: standard input is closed") from None
 
 
-def _load_carrier(path, header_size) -> container.AudioCarrier:
-    return container.parse_carrier(Path(path).read_bytes(), header_size)
-
-
 @contextlib.contextmanager
 def _patched_copy(carrier_path, out, header_size):
     """Yield an `open_carrier` carrier over a copy of the carrier file.
@@ -87,9 +83,8 @@ def _patched_copy(carrier_path, out, header_size):
 def _choose_mode(carrier, message_len: int, requested: str | None) -> stego.StegoMode:
     if requested:
         return stego.StegoMode(requested)
-    for mode in (stego.StegoMode.REGULAR, stego.StegoMode.EXCESSIVE):
-        plan = stego.plan_embed(carrier.header_len, message_len, mode)
-        if plan.required_size <= carrier.body_end:
+    for mode in stego.StegoMode:  # REGULAR first
+        if message_len <= stego.capacity(carrier, mode):
             return mode
     raise CapacityExceeded(
         f"message of {message_len} bytes fits neither mode: "
@@ -113,7 +108,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    carrier = _load_carrier(args.carrier, args.header_size)
+    carrier = container.parse_carrier(Path(args.carrier).read_bytes(), args.header_size)
     plaintext, extension = stego.extract(carrier, _passphrase(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -140,8 +135,7 @@ def _cmd_delete(args) -> int:
 def _cmd_inspect(args) -> int:
     with container.open_carrier(args.carrier, args.header_size, write=False) as carrier:
         mode, type_code, declared = stego.inspect_carrier(carrier)
-        plan = stego.plan_embed(carrier.header_len, declared, mode)
-        plausible = declared >= 1 and plan.required_size <= carrier.body_end
+        plausible = 1 <= declared <= stego.capacity(carrier, mode)
     print(f"mode={mode.value}")
     print(f"file_type_code={type_code:#04x}")
     print(f"extension={stego.extension_for_code(type_code)}")

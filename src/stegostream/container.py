@@ -14,7 +14,7 @@ import enum
 import mmap
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,12 +65,6 @@ class AudioCarrier:
         it is the end of the file.
         """
         return self.format.data_offset + self.format.data_len
-
-    def with_data(self, data: bytes) -> "AudioCarrier":
-        """Same carrier with replaced file bytes (must keep the length)."""
-        if len(data) != len(self.data):
-            raise ValueError("replacement byte sequence must keep the carrier length")
-        return replace(self, data=bytes(data))
 
 
 def parse_carrier(file_bytes: bytes, raw_header_override: int | None = None) -> AudioCarrier:

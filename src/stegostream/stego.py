@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,7 +256,7 @@ def _patch(carrier: AudioCarrier, write) -> AudioCarrier:
         return carrier
     buf = bytearray(data)
     write(np.frombuffer(buf, dtype=np.uint8))
-    return carrier.with_data(bytes(buf))
+    return replace(carrier, data=bytes(buf))
 
 
 def embed(carrier: AudioCarrier, payload: SealedPayload, mode: StegoMode) -> AudioCarrier:

@@ -9,6 +9,9 @@ Wire format (big-endian lengths):
     body      bytes    file content
     checksum  u32      CRC-32 of the payload
 
+`_HEAD`, `_BODY_LEN` and `_CRC` are this layout's single statement: the
+sender packs with them and the receiver unpacks with them.
+
 The receiver streams the payload to a temporary file, links it into
 place only after the checksum verifies, and answers one acknowledgment
 byte: 0x00 accepted, 0x01 rejected. Frames with a bad magic are dropped
@@ -45,6 +48,9 @@ MAX_NAME_BYTES = 255
 _CHUNK = 64 * 1024
 _CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f]")  # Unicode category Cc
 DEFAULT_TIMEOUT = 30.0
+_HEAD = struct.Struct(">4sH")  # magic, name_len
+_BODY_LEN = struct.Struct(">Q")
+_CRC = struct.Struct(">I")
 
 
 def encode_frame(name: str, payload: bytes) -> bytes:
@@ -52,16 +58,8 @@ def encode_frame(name: str, payload: bytes) -> bytes:
     name_bytes = name.encode("utf-8")
     if not _name_ok(name, name_bytes):
         raise ValueError(f"invalid transfer file name: {name!r}")
-    return b"".join(
-        (
-            MAGIC,
-            struct.pack(">H", len(name_bytes)),
-            name_bytes,
-            struct.pack(">Q", len(payload)),
-            payload,
-            struct.pack(">I", zlib.crc32(payload)),
-        )
-    )
+    return b"".join((_HEAD.pack(MAGIC, len(name_bytes)), name_bytes, _BODY_LEN.pack(len(payload)),
+                     payload, _CRC.pack(zlib.crc32(payload))))
 
 
 def _name_ok(name: str, name_bytes: bytes) -> bool:
@@ -205,56 +203,47 @@ class FileReceiver:
             self._workers.discard(threading.current_thread())
 
     def _handle(self, conn: socket.socket, addr):
-        magic = _recv_exact(conn, 4)
+        magic = _recv_exact(conn, len(MAGIC))
         if magic != MAGIC:
             log.warning("dropping connection from %s: bad magic %r", addr, magic)
             return
-        header = _recv_exact(conn, 2)
-        if header is None:
+        name_len_field = _recv_exact(conn, _HEAD.size - len(MAGIC))
+        if name_len_field is None:
             return
-        (name_len,) = struct.unpack(">H", header)
-        name_bytes = _recv_exact(conn, name_len)
-        if name_bytes is None:
+        _, name_len = _HEAD.unpack(magic + name_len_field)
+        rest = _recv_exact(conn, name_len + _BODY_LEN.size)
+        if rest is None:
             return
+        name_bytes = rest[:name_len]
+        (body_len,) = _BODY_LEN.unpack_from(rest, name_len)
         try:
             name = name_bytes.decode("utf-8")
         except UnicodeDecodeError:
             name = None
         name_valid = name is not None and _name_ok(name, name_bytes)
-        length_field = _recv_exact(conn, 8)
-        if length_field is None:
-            return
-        (body_len,) = struct.unpack(">Q", length_field)
 
-        crc = 0
-        received = 0
-        stored = None
+        crc = received = 0
         reject_reason = None
-        tmp = tempfile.NamedTemporaryFile(dir=self.out_dir, prefix=".incoming-", delete=False)
-        try:
-            with tmp:
-                while received < body_len:
-                    piece = conn.recv(min(body_len - received, _CHUNK))
-                    if not piece:
-                        return
-                    tmp.write(piece)
-                    crc = zlib.crc32(piece, crc)
-                    received += len(piece)
-            checksum_field = _recv_exact(conn, 4)
-            if checksum_field is None:
+        # the temp file is gone before the ack, so the peer never observes
+        # a half-finished out_dir
+        with tempfile.NamedTemporaryFile(dir=self.out_dir, prefix=".incoming-") as tmp:
+            while received < body_len:
+                piece = conn.recv(min(body_len - received, _CHUNK))
+                if not piece:
+                    return
+                tmp.write(piece)
+                crc = zlib.crc32(piece, crc)
+                received += len(piece)
+            crc_field = _recv_exact(conn, _CRC.size)
+            if crc_field is None:
                 return
-            (expected_crc,) = struct.unpack(">I", checksum_field)
             if not name_valid:
                 reject_reason = f"unsafe or invalid name {name_bytes!r}"
-            elif crc != expected_crc:
+            elif crc != _CRC.unpack(crc_field)[0]:
                 reject_reason = f"checksum mismatch for {name!r}"
             else:
+                tmp.flush()  # the name shows the whole body from the moment it exists
                 stored = claim_name(tmp.name, self.out_dir, name)
-        finally:
-            # clean up before acknowledging so the peer never observes
-            # a half-finished out_dir
-            if os.path.exists(tmp.name):
-                os.unlink(tmp.name)
         if reject_reason is not None:
             log.warning("rejecting %s: %s", addr, reject_reason)
             conn.sendall(ACK_REJECTED)

@@ -84,6 +84,19 @@ def test_embed_capacity_exhausted_prints_both_figures(tmp_path, keyed_env, capsy
     assert "regular capacity" in err and "excessive capacity" in err
 
 
+@pytest.mark.parametrize("size", [10, 30, 300])
+def test_empty_message_fails_to_seal_on_any_carrier(tmp_path, keyed_env, capsys, size):
+    # 0 bytes fit every carrier, even one smaller than both metadata blocks
+    carrier = tmp_path / "c.bin"
+    carrier.write_bytes(bytes(size))
+    message = tmp_path / "m.bin"
+    message.write_bytes(b"")
+    rc = cli.run(["embed", "--carrier", str(carrier), "--message", str(message),
+                  "--key-env", keyed_env, "--out", str(tmp_path / "x"), "--header-size", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cannot seal an empty message\n"
+
+
 def test_capacity_and_inspect_need_no_key(tmp_path, carrier_wav, keyed_env, capsys):
     out = tmp_path / "s.wav"
     message = tmp_path / "m.txt"

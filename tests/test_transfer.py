@@ -1,10 +1,12 @@
 import errno
 import hashlib
+import itertools
 import os
 import socket
 import struct
 import sys
 import threading
+import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -173,7 +175,7 @@ def test_overlong_name_rejected(receiver):
     assert _raw_exchange(server.port, _raw_frame(b"n" * 300, b"x")) == ACK_REJECTED
 
 
-@pytest.mark.parametrize("name", [b"a\x00b", b".incoming-x", b"..."])
+@pytest.mark.parametrize("name", [b"a\x00b", b".incoming-x", b"...", b"\xff\xfe.wav"])
 def test_hostile_names_rejected_with_ack(receiver, tmp_path, name):
     server, inbox = receiver
     assert _raw_exchange(server.port, _raw_frame(name, b"data")) == ACK_REJECTED
@@ -193,6 +195,32 @@ def test_short_frame_survived(receiver, tmp_path):
     source.write_bytes(b"fine")
     send_file("127.0.0.1", server.port, source)
     assert (inbox / "ok.bin").exists()
+
+
+def test_peer_closing_mid_body_leaves_no_temp_file(tmp_path):
+    inbox = tmp_path / "inbox"
+    frame = encode_frame("half.wav", os.urandom(100_000))
+    with FileReceiver(0, inbox) as server:  # leaving the block joins the workers
+        assert _raw_exchange(server.port, frame[: len(frame) // 2]) == b""
+    assert list(inbox.iterdir()) == []
+
+
+def test_frame_in_tiny_sends_is_stored(receiver):
+    # 1-3 bytes per segment split every header field across reads
+    server, inbox = receiver
+    body = os.urandom(40)
+    frame = encode_frame("drip.bin", body)
+    steps = itertools.cycle((1, 2, 3))
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        at = 0
+        while at < len(frame):
+            step = next(steps)
+            conn.sendall(frame[at : at + step])
+            at += step
+            time.sleep(0.001)
+        assert conn.recv(1) == ACK_OK
+    assert (inbox / "drip.bin").read_bytes() == body
 
 
 def test_connect_failed():
@@ -223,6 +251,9 @@ def test_encode_frame_validates_names():
         encode_frame("", b"x")
     with pytest.raises(ValueError):
         encode_frame("..", b"x")
+    # accepted names encode to the hand-built frame
+    for name in ("a", "song.wav", "\u00e9t\u00e9 2024.mp3", "n" * 255):
+        assert encode_frame(name, b"body") == _raw_frame(name.encode(), b"body")
 
 
 def test_transfer_is_oblivious_to_stego_content(receiver, tmp_path):
