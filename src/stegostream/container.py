@@ -45,7 +45,7 @@ class FormatInfo:
 
 @dataclass(frozen=True)
 class AudioCarrier:
-    """A parsed carrier file: raw bytes plus the protected header length.
+    """A parsed carrier file: raw bytes plus where their body lies.
 
     `data` is `bytes`, or a `memoryview` of a file mapping when the
     carrier comes from `open_carrier`: writable by default, read-only
@@ -53,8 +53,12 @@ class AudioCarrier:
     """
 
     data: bytes | memoryview
-    header_len: int
     format: FormatInfo
+
+    @property
+    def header_len(self) -> int:
+        """Length of the protected header: every byte before the body."""
+        return self.format.data_offset
 
     @property
     def body_end(self) -> int:
@@ -67,45 +71,43 @@ class AudioCarrier:
         return self.format.data_offset + self.format.data_len
 
 
-def parse_carrier(file_bytes: bytes, raw_header_override: int | None = None) -> AudioCarrier:
-    """Parse carrier bytes into an AudioCarrier.
-
-    A RIFF/WAVE input is chunk-walked to locate the data payload. Anything
-    else needs `raw_header_override`: the number of leading bytes that must
-    stay untouched (0 is fine for headerless blobs).
-    """
-    return _parse(bytes(file_bytes), raw_header_override)
-
-
 @contextlib.contextmanager
 def open_carrier(path, raw_header_override: int | None = None, *, write: bool = True):
     """Parse a carrier file in place, for patching or reading it.
 
-    Yields an AudioCarrier whose `data` is a `memoryview` of a shared
-    `mmap` of the file, so only the pages touched are read. By default
-    the view is writable and writes to it change the file; with
-    `write=False` the file is opened read-only (a mode-0444 file will
-    do) and so is the view. The view is released when the block ends,
-    or, while an exception's traceback still holds arrays over it, when
-    they are freed. The file is parsed exactly as `parse_carrier` parses
-    its bytes.
+    Yields the `parse_carrier` of a `memoryview` of a shared `mmap` of
+    the file, so only the pages touched are read. By default the view is
+    writable and writes to it change the file; with `write=False` the
+    file is opened read-only (a mode-0444 file will do) and so is the
+    view. The view is released when the block ends, or, while an
+    exception's traceback still holds arrays over it, when they are freed.
     """
     with open(path, "r+b" if write else "rb") as file:
         if os.fstat(file.fileno()).st_size == 0:
             # mmap refuses an empty file; no carrier is empty, so this raises
-            _parse(b"", raw_header_override)
+            parse_carrier(b"", raw_header_override)
         mapped = mmap.mmap(file.fileno(), 0,
                            access=mmap.ACCESS_WRITE if write else mmap.ACCESS_READ)
     view = memoryview(mapped)
     try:
-        yield _parse(view, raw_header_override)
+        yield parse_carrier(view, raw_header_override)
     finally:
         with contextlib.suppress(BufferError):
             view.release()
             mapped.close()
 
 
-def _parse(data: bytes | memoryview, raw_header_override: int | None) -> AudioCarrier:
+def parse_carrier(file_bytes: bytes | memoryview,
+                  raw_header_override: int | None = None) -> AudioCarrier:
+    """Parse carrier bytes into an AudioCarrier.
+
+    A RIFF/WAVE input is chunk-walked to locate the data payload. Anything
+    else needs `raw_header_override`: the number of leading bytes that must
+    stay untouched (0 is fine for headerless blobs). A `memoryview` is used
+    as it is, so a writable one can be patched in place; anything else is
+    taken as `bytes`.
+    """
+    data = file_bytes if isinstance(file_bytes, memoryview) else bytes(file_bytes)
     if len(data) >= 12 and data[:4] == RIFF_TAG and data[8:12] == WAVE_TAG:
         return _parse_wav(data)
     if raw_header_override is not None:
@@ -124,7 +126,7 @@ def _parse(data: bytes | memoryview, raw_header_override: int | None) -> AudioCa
             data_offset=raw_header_override,
             data_len=len(data) - raw_header_override,
         )
-        return AudioCarrier(data=data, header_len=raw_header_override, format=fmt)
+        return AudioCarrier(data=data, format=fmt)
     if data[:4] == RIFF_TAG:
         raise MalformedRiff("RIFF input without a complete WAVE signature")
     raise UnknownFormat("not a RIFF/WAVE file; pass a raw header override to embed anyway")
@@ -169,7 +171,7 @@ def _parse_wav(data: bytes | memoryview) -> AudioCarrier:
         data_offset=data_offset,
         data_len=data_len,
     )
-    return AudioCarrier(data=data, header_len=data_offset, format=fmt)
+    return AudioCarrier(data=data, format=fmt)
 
 
 def samples_16(carrier: AudioCarrier) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on purpose derives from StegoStreamError so callers
-can catch one base class. Each class carries the CLI exit code for its
-category: 1 usage, 2 capacity, 3 format, 4 network, 5 no valid message.
+can catch one base class. Each class inherits the CLI exit code of its
+category from one private base per code: 1 usage (StegoStreamError
+itself), 2 capacity, 3 format, 4 network, 5 no valid message.
 """
 
 
@@ -12,30 +13,38 @@ class StegoStreamError(Exception):
     exit_code = 1
 
 
+class _CapacityError(StegoStreamError):
+    exit_code = 2
+
+
+class _FormatError(StegoStreamError):
+    exit_code = 3
+
+
+class _NetworkError(StegoStreamError):
+    exit_code = 4
+
+
+class _NoMessageError(StegoStreamError):
+    exit_code = 5
+
+
 # -- container ---------------------------------------------------------------
 
-class MalformedRiff(StegoStreamError):
+class MalformedRiff(_FormatError):
     """RIFF/WAVE structure is broken: truncated chunk, missing fmt/data, ..."""
 
-    exit_code = 3
 
-
-class UnknownFormat(StegoStreamError):
+class UnknownFormat(_FormatError):
     """Input is not a WAV and no raw header override was given."""
 
-    exit_code = 3
 
-
-class HeaderExceedsFile(StegoStreamError):
+class HeaderExceedsFile(_FormatError):
     """Raw header override does not leave any body bytes."""
 
-    exit_code = 3
 
-
-class UnsupportedDepth(StegoStreamError):
+class UnsupportedDepth(_FormatError):
     """Sample decoding requested for a depth other than 16-bit PCM."""
-
-    exit_code = 3
 
 
 # -- cipher ------------------------------------------------------------------
@@ -48,77 +57,55 @@ class EmptyMessage(StegoStreamError):
     """Messages of zero length cannot be sealed."""
 
 
-class MessageTooLarge(StegoStreamError):
+class MessageTooLarge(_CapacityError):
     """Message length does not fit the 32-bit size field."""
-
-    exit_code = 2
 
 
 # -- stego -------------------------------------------------------------------
 
-class CapacityExceeded(StegoStreamError):
+class CapacityExceeded(_CapacityError):
     """Carrier is too small for the requested embed; reports required vs available."""
 
-    exit_code = 2
 
-
-class CarrierTooSmall(StegoStreamError):
+class CarrierTooSmall(_NoMessageError):
     """Carrier cannot even hold the metadata block of the flagged mode."""
 
-    exit_code = 5
 
-
-class SizeImplausible(StegoStreamError):
+class SizeImplausible(_NoMessageError):
     """Declared message size exceeds what the carrier could hold; no valid message."""
-
-    exit_code = 5
 
 
 # -- quality -----------------------------------------------------------------
 
-class LengthMismatch(StegoStreamError):
+class LengthMismatch(_FormatError):
     """Compared sequences must have equal length."""
 
-    exit_code = 3
 
-
-class TooShort(StegoStreamError):
+class TooShort(_FormatError):
     """Input does not contain a single usable analysis frame."""
 
-    exit_code = 3
 
-
-class EmptyInput(StegoStreamError):
+class EmptyInput(_FormatError):
     """Waveform comparison needs non-empty signals."""
-
-    exit_code = 3
 
 
 # -- transfer ----------------------------------------------------------------
 
-class ConnectFailed(StegoStreamError):
+class ConnectFailed(_NetworkError):
     """Could not open a connection to the receiver."""
 
-    exit_code = 4
 
-
-class RemoteRejected(StegoStreamError):
+class RemoteRejected(_NetworkError):
     """Receiver answered with a rejection acknowledgment."""
 
-    exit_code = 4
 
-
-class TransferIoError(StegoStreamError):
+class TransferIoError(_NetworkError):
     """Connection died mid-transfer (short read/write, missing ack)."""
-
-    exit_code = 4
 
 
 class InvalidTransferName(StegoStreamError):
     """File name cannot go on the wire (separator, control character, leading dot, length)."""
 
 
-class BindFailed(StegoStreamError):
+class BindFailed(_NetworkError):
     """Receiver could not bind its listening port."""
-
-    exit_code = 4

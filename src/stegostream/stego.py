@@ -43,13 +43,9 @@ PLANE_SEVENTH = 1
 
 def read_bit(value: int, plane: int) -> int:
     """Read the bit of `value` in the given plane (0 = LSB, 1 = 7th bit)."""
-    _check_plane(plane)
-    return (value >> plane) & 1
-
-
-def _check_plane(plane: int):
     if plane not in (PLANE_LSB, PLANE_SEVENTH):
         raise ValueError("plane must be 0 (LSB) or 1 (7th bit)")
+    return (value >> plane) & 1
 
 
 class StegoMode(enum.Enum):
@@ -74,10 +70,6 @@ class StegoMode(enum.Enum):
     @property
     def reserved_bytes(self) -> int:
         return 1 + self.type_field_len + self.size_field_len
-
-    @classmethod
-    def from_flag(cls, bit: int) -> "StegoMode":
-        return cls.REGULAR if bit == cls.REGULAR.flag_bit else cls.EXCESSIVE
 
 
 # -- file types ---------------------------------------------------------------
@@ -294,7 +286,8 @@ def inspect_carrier(carrier: AudioCarrier) -> tuple[StegoMode, int, int]:
     h = carrier.header_len
     if limit < h + 1:
         raise CarrierTooSmall("carrier has no room for the mode flag")
-    mode = StegoMode.from_flag(read_bit(carrier.data[h], PLANE_LSB))
+    regular = read_bit(carrier.data[h], PLANE_LSB) == StegoMode.REGULAR.flag_bit
+    mode = StegoMode.REGULAR if regular else StegoMode.EXCESSIVE
     if limit < h + mode.reserved_bytes:
         raise CarrierTooSmall(
             f"carrier ends inside the {mode.value} metadata block "

@@ -21,6 +21,7 @@ failing one never stops the server.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import re
@@ -73,29 +74,32 @@ def _name_ok(name: str, name_bytes: bytes) -> bool:
 
 def claim_name(source, out_dir: Path, name: str) -> Path:
     """Hard-link `source` into `out_dir` as `name`, or as the first free
-    `<stem>-N.<suffix>` cut to MAX_NAME_BYTES; never replaces a file."""
+    `<stem>-N.<suffix>`, each cut to MAX_NAME_BYTES; never replaces a file."""
     stem, dot, suffix = name.partition(".")
-    candidate, counter = name, 0
-    while True:
+    for counter in itertools.count():
+        # cut the stem on a character boundary to stay within MAX_NAME_BYTES
+        tail = f"{f'-{counter}' if counter else ''}{dot}{suffix}".encode("utf-8")
+        head = stem.encode("utf-8")[: max(MAX_NAME_BYTES - len(tail), 0)]
+        candidate = (head + tail)[:MAX_NAME_BYTES].decode("utf-8", "ignore")
         try:  # a link never overwrites, so no two writers claim one name
             os.link(source, out_dir / candidate)
             return out_dir / candidate
         except FileExistsError:
-            counter += 1
-        # cut the stem on a character boundary to stay within MAX_NAME_BYTES
-        tail = f"-{counter}{dot}{suffix}".encode("utf-8")
-        head = stem.encode("utf-8")[: max(MAX_NAME_BYTES - len(tail), 0)]
-        candidate = (head + tail)[:MAX_NAME_BYTES].decode("utf-8", "ignore")
+            pass
 
 
-def _recv_exact(conn: socket.socket, count: int) -> bytes | None:
-    """Read exactly `count` bytes; None if the peer closed early."""
+class _PeerClosed(Exception):
+    """The peer closed the connection before its frame ended."""
+
+
+def _recv_exact(conn: socket.socket, count: int) -> bytes:
+    """Read exactly `count` bytes; raises _PeerClosed if the peer closes first."""
     chunks = []
     remaining = count
     while remaining > 0:
         piece = conn.recv(min(remaining, _CHUNK))
         if not piece:
-            return None
+            raise _PeerClosed
         chunks.append(piece)
         remaining -= len(piece)
     return b"".join(chunks)
@@ -122,10 +126,10 @@ def send_file(host: str, port: int, file_path, timeout: float = DEFAULT_TIMEOUT)
     with conn:
         try:
             conn.sendall(frame)
-            ack = _recv_exact(conn, 1)
+            ack = conn.recv(1)
         except OSError as exc:
             raise TransferIoError(f"transfer to {host}:{port} failed: {exc}") from exc
-    if ack is None:
+    if not ack:
         raise TransferIoError(f"{host}:{port} closed the connection without acknowledging")
     if ack != ACK_OK:
         raise RemoteRejected(f"{host}:{port} rejected the file (ack {ack.hex()})")
@@ -160,12 +164,8 @@ class FileReceiver:
 
     def start(self):
         """Accept connections on a background thread."""
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._accept_thread.start()
-
-    def serve_forever(self):
-        """Accept connections on the calling thread until stop()."""
-        self._accept_loop()
 
     def stop(self):
         self._closing = True
@@ -178,7 +178,8 @@ class FileReceiver:
         for worker in list(self._workers):
             worker.join(timeout=5)
 
-    def _accept_loop(self):
+    def serve_forever(self):
+        """Accept connections on the calling thread until stop()."""
         while not self._closing:
             try:
                 conn, addr = self._listener.accept()
@@ -197,6 +198,8 @@ class FileReceiver:
         try:
             with conn:
                 self._handle(conn, addr)
+        except _PeerClosed:
+            log.info("connection from %s closed before its frame ended", addr)
         except Exception:
             log.warning("connection from %s failed", addr, exc_info=True)
         finally:
@@ -207,13 +210,8 @@ class FileReceiver:
         if magic != MAGIC:
             log.warning("dropping connection from %s: bad magic %r", addr, magic)
             return
-        name_len_field = _recv_exact(conn, _HEAD.size - len(MAGIC))
-        if name_len_field is None:
-            return
-        _, name_len = _HEAD.unpack(magic + name_len_field)
+        _, name_len = _HEAD.unpack(magic + _recv_exact(conn, _HEAD.size - len(MAGIC)))
         rest = _recv_exact(conn, name_len + _BODY_LEN.size)
-        if rest is None:
-            return
         name_bytes = rest[:name_len]
         (body_len,) = _BODY_LEN.unpack_from(rest, name_len)
         try:
@@ -230,13 +228,11 @@ class FileReceiver:
             while received < body_len:
                 piece = conn.recv(min(body_len - received, _CHUNK))
                 if not piece:
-                    return
+                    raise _PeerClosed
                 tmp.write(piece)
                 crc = zlib.crc32(piece, crc)
                 received += len(piece)
             crc_field = _recv_exact(conn, _CRC.size)
-            if crc_field is None:
-                return
             if not name_valid:
                 reject_reason = f"unsafe or invalid name {name_bytes!r}"
             elif crc != _CRC.unpack(crc_field)[0]:

@@ -231,6 +231,51 @@ def test_closed_stdin_at_prompt_is_empty_passphrase(tmp_path, carrier_wav, monke
         "passphrase: \nerror: no passphrase: standard input is closed\n")
 
 
+def test_extract_cuts_a_long_carrier_stem(tmp_path, carrier_wav, keyed_env, capsys):
+    # a 255-byte carrier name whose `<stem>.txt` would be 257 bytes
+    carrier = tmp_path / ("c" * 253 + ".w")
+    carrier.write_bytes(carrier_wav.read_bytes())
+    message = tmp_path / "m.txt"
+    message.write_bytes(b"long names are legal\n")
+    assert cli.run(["embed", "--carrier", str(carrier), "--message", str(message),
+                    "--key-env", keyed_env, "--out", str(carrier)]) == 0
+    out_dir = tmp_path / "recovered"
+    assert cli.run(["extract", "--carrier", str(carrier), "--key-env", keyed_env,
+                    "--out-dir", str(out_dir)]) == 0
+    assert [path.name for path in out_dir.iterdir()] == ["c" * 251 + ".txt"]
+    assert (out_dir / ("c" * 251 + ".txt")).read_bytes() == message.read_bytes()
+
+
+def test_every_carrier_command_parses_through_parse_carrier(tmp_path, carrier_wav, keyed_env,
+                                                            capsys, monkeypatch):
+    message = tmp_path / "m.txt"
+    message.write_bytes(bytes(200))
+    out = tmp_path / "s.wav"
+    parse_calls = []
+    real_parse = container.parse_carrier
+
+    def spy(*args, **kwargs):
+        parse_calls.append(type(args[0]).__name__)  # no reference to a mapped view
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(container, "parse_carrier", spy)
+    pair = ["--original", str(carrier_wav), "--stego", str(out)]
+    for argv, calls in [
+        (["embed", "--carrier", str(carrier_wav), "--message", str(message),
+          "--key-env", keyed_env, "--out", str(out)], 1),
+        (["extract", "--carrier", str(out), "--key-env", keyed_env,
+          "--out-dir", str(tmp_path / "r")], 1),
+        (["inspect", str(out)], 1),
+        (["capacity", str(out)], 1),
+        (["snr", *pair], 2),
+        (["compare", *pair], 2),
+        (["delete", "--carrier", str(out), "--out", str(tmp_path / "d.wav")], 1),
+    ]:
+        parse_calls.clear()
+        assert cli.run(argv) == 0, capsys.readouterr().err
+        assert len(parse_calls) == calls, argv[0]
+
+
 def test_extract_never_replaces_a_file(tmp_path, carrier_wav, keyed_env, capsys):
     # a hidden .wav extracted next to its carrier stego.wav would be named stego.wav
     message = tmp_path / "song.wav"
@@ -502,7 +547,17 @@ _DOCUMENTED_EXIT_CODES = {
 }
 
 
-@pytest.mark.parametrize("error_type", StegoStreamError.__subclasses__(),
+def _leaf_classes(cls) -> list[type]:
+    subclasses = cls.__subclasses__()
+    return [leaf for sub in subclasses for leaf in _leaf_classes(sub)] if subclasses else [cls]
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    assert {error_type.__name__ for error_type in _leaf_classes(StegoStreamError)} == set(
+        _DOCUMENTED_EXIT_CODES)
+
+
+@pytest.mark.parametrize("error_type", _leaf_classes(StegoStreamError),
                          ids=lambda error_type: error_type.__name__)
 def test_error_classes_carry_documented_exit_code(error_type, carrier_wav, monkeypatch, capsys):
     def fail(*args):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegostream.container import (
     CarrierKind,
@@ -190,3 +192,36 @@ def test_open_carrier_read_only(canonical_wav, tmp_path):
             carrier.data[50] ^= 0x01
         assert samples_16(carrier).tolist() == samples_16(parse_carrier(canonical_wav)).tolist()
     assert path.read_bytes() == canonical_wav
+
+
+@st.composite
+def _carrier_bytes(draw):
+    """Arbitrary bytes, or a WAV with a few bytes flipped and maybe cut short."""
+    if draw(st.booleans()):
+        data = draw(st.binary(max_size=120))
+    else:
+        chunks = draw(st.lists(st.tuples(st.sampled_from([b"LIST", b"junk", b"data", b"fmt "]),
+                                         st.binary(max_size=9)), max_size=2))
+        wav = bytearray(build_wav(draw(st.binary(max_size=40)), pre_data_chunks=chunks))
+        for _ in range(draw(st.integers(0, 3))):
+            wav[draw(st.integers(0, len(wav) - 1))] = draw(st.integers(0, 255))
+        data = bytes(wav[: draw(st.integers(0, len(wav)))])
+    return data, draw(st.none() | st.integers(0, len(data) + 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_carrier_bytes())
+def test_parse_carrier_fails_closed_and_alike_on_a_memoryview(case):
+    data, header = case
+    try:
+        carrier = parse_carrier(data, header)
+    except StegoStreamError as expected:
+        with pytest.raises(StegoStreamError) as got:
+            parse_carrier(memoryview(data), header)
+        assert (type(got.value), str(got.value)) == (type(expected), str(expected))
+        return
+    viewed = parse_carrier(memoryview(data), header)
+    assert isinstance(viewed.data, memoryview)
+    assert (viewed.header_len, viewed.body_end, viewed.format) == (
+        carrier.header_len, carrier.body_end, carrier.format)
+    assert bytes(carrier.data) == data == bytes(viewed.data)

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import itertools
+import logging
 import os
 import socket
 import struct
@@ -203,6 +204,21 @@ def test_peer_closing_mid_body_leaves_no_temp_file(tmp_path):
     with FileReceiver(0, inbox) as server:  # leaving the block joins the workers
         assert _raw_exchange(server.port, frame[: len(frame) // 2]) == b""
     assert list(inbox.iterdir()) == []
+
+
+# "early.wav" with a 40-byte body: magic 0-4, name_len 4-6, name 6-15,
+# body_len 15-23, body 23-63, checksum 63-67
+@pytest.mark.parametrize("cut", [0, 2, 5, 12, 20, 40, 65],
+                         ids=["nothing", "magic", "name_len", "name", "body_len", "body", "crc"])
+def test_peer_closing_early_logs_one_info_line(tmp_path, caplog, cut):
+    frame = encode_frame("early.wav", bytes(40))
+    caplog.set_level(logging.INFO, logger="stegostream.transfer")
+    with FileReceiver(0, tmp_path / "inbox") as server:  # leaving the block joins the workers
+        assert _raw_exchange(server.port, frame[:cut]) == b""
+    records = [r for r in caplog.records if r.name == "stegostream.transfer"]
+    assert [r.levelno for r in records] == [logging.INFO]
+    assert "closed before its frame ended" in records[0].getMessage()
+    assert list((tmp_path / "inbox").iterdir()) == []
 
 
 def test_frame_in_tiny_sends_is_stored(receiver):
