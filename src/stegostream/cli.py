@@ -115,7 +115,7 @@ def _cmd_extract(args) -> int:
     with tempfile.NamedTemporaryFile(dir=out_dir, prefix=".extract-") as tmp:
         tmp.write(plaintext)
         tmp.flush()
-        out_path = transfer.claim_name(tmp.name, out_dir, f"{Path(args.carrier).stem}.{extension}")
+        out_path = transfer.claim_name(tmp.name, out_dir, Path(args.carrier).stem, f".{extension}")
     print(f"extension={extension}")
     print(f"message_bytes={len(plaintext)}")
     print(f"out={out_path}")

@@ -104,10 +104,14 @@ def parse_carrier(file_bytes: bytes | memoryview,
     A RIFF/WAVE input is chunk-walked to locate the data payload. Anything
     else needs `raw_header_override`: the number of leading bytes that must
     stay untouched (0 is fine for headerless blobs). A `memoryview` is used
-    as it is, so a writable one can be patched in place; anything else is
-    taken as `bytes`.
+    as it is, cast to a flat view of unsigned bytes if it is not one, so a
+    writable one can be patched in place; anything else is taken as `bytes`.
     """
-    data = file_bytes if isinstance(file_bytes, memoryview) else bytes(file_bytes)
+    if isinstance(file_bytes, memoryview):
+        flat = (file_bytes.format, file_bytes.ndim) == ("B", 1)
+        data = file_bytes if flat else file_bytes.cast("B")
+    else:
+        data = bytes(file_bytes)
     if len(data) >= 12 and data[:4] == RIFF_TAG and data[8:12] == WAVE_TAG:
         return _parse_wav(data)
     if raw_header_override is not None:

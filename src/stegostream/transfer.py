@@ -72,20 +72,27 @@ def _name_ok(name: str, name_bytes: bytes) -> bool:
     return not _CONTROL_CHARS.search(name)
 
 
-def claim_name(source, out_dir: Path, name: str) -> Path:
-    """Hard-link `source` into `out_dir` as `name`, or as the first free
-    `<stem>-N.<suffix>`, each cut to MAX_NAME_BYTES; never replaces a file."""
-    stem, dot, suffix = name.partition(".")
+def claim_name(source, out_dir: Path, stem: str, suffix: str) -> Path:
+    """Hard-link `source` into `out_dir` as `<stem><suffix>`, or as the first
+    free `<stem>-N<suffix>`; never replaces a file. Each candidate is cut to
+    MAX_NAME_BYTES as the file system encodes it, on a character boundary:
+    the stem first, then the end of the name."""
     for counter in itertools.count():
-        # cut the stem on a character boundary to stay within MAX_NAME_BYTES
-        tail = f"{f'-{counter}' if counter else ''}{dot}{suffix}".encode("utf-8")
-        head = stem.encode("utf-8")[: max(MAX_NAME_BYTES - len(tail), 0)]
-        candidate = (head + tail)[:MAX_NAME_BYTES].decode("utf-8", "ignore")
+        tail = f"-{counter}{suffix}" if counter else suffix
+        head = _cut(stem, MAX_NAME_BYTES - len(os.fsencode(tail)))
+        candidate = _cut(head + tail, MAX_NAME_BYTES)
         try:  # a link never overwrites, so no two writers claim one name
             os.link(source, out_dir / candidate)
             return out_dir / candidate
         except FileExistsError:
             pass
+
+
+def _cut(text: str, limit: int) -> str:
+    """The longest prefix of `text` that os.fsencode fits in `limit` bytes."""
+    while text and len(os.fsencode(text)) > limit:
+        text = text[:-1]
+    return text
 
 
 class _PeerClosed(Exception):
@@ -239,7 +246,8 @@ class FileReceiver:
                 reject_reason = f"checksum mismatch for {name!r}"
             else:
                 tmp.flush()  # the name shows the whole body from the moment it exists
-                stored = claim_name(tmp.name, self.out_dir, name)
+                stem, dot, suffix = name.partition(".")
+                stored = claim_name(tmp.name, self.out_dir, stem, dot + suffix)
         if reject_reason is not None:
             log.warning("rejecting %s: %s", addr, reject_reason)
             conn.sendall(ACK_REJECTED)

@@ -1,4 +1,5 @@
 import builtins
+import io
 import os
 import random
 import stat
@@ -231,9 +232,21 @@ def test_closed_stdin_at_prompt_is_empty_passphrase(tmp_path, carrier_wav, monke
         "passphrase: \nerror: no passphrase: standard input is closed\n")
 
 
-def test_extract_cuts_a_long_carrier_stem(tmp_path, carrier_wav, keyed_env, capsys):
+@pytest.mark.parametrize("carrier_name, stored_name", [
     # a 255-byte carrier name whose `<stem>.txt` would be 257 bytes
-    carrier = tmp_path / ("c" * 253 + ".w")
+    ("c" * 253 + ".w", "c" * 251 + ".txt"),
+    # the stem holds a dot; the cut takes from its end, never all of it
+    ("a." + "b" * 250 + ".w", "a." + "b" * 249 + ".txt"),
+    # argv carries a name that is not UTF-8 as surrogate escapes
+    pytest.param(os.fsdecode(b"\xff.wav"), os.fsdecode(b"\xff.txt"), marks=pytest.mark.skipif(
+        sys.platform != "linux", reason="needs file names that are not UTF-8")),
+], ids=["long-stem", "dotted-stem", "not-utf8"])
+def test_extract_names_its_output_after_the_carrier(tmp_path, carrier_wav, keyed_env, monkeypatch,
+                                                    carrier_name, stored_name):
+    # print names as a process in the C locale or UTF-8 mode does
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    carrier = tmp_path / carrier_name
     carrier.write_bytes(carrier_wav.read_bytes())
     message = tmp_path / "m.txt"
     message.write_bytes(b"long names are legal\n")
@@ -242,8 +255,10 @@ def test_extract_cuts_a_long_carrier_stem(tmp_path, carrier_wav, keyed_env, caps
     out_dir = tmp_path / "recovered"
     assert cli.run(["extract", "--carrier", str(carrier), "--key-env", keyed_env,
                     "--out-dir", str(out_dir)]) == 0
-    assert [path.name for path in out_dir.iterdir()] == ["c" * 251 + ".txt"]
-    assert (out_dir / ("c" * 251 + ".txt")).read_bytes() == message.read_bytes()
+    assert [path.name for path in out_dir.iterdir()] == [stored_name]
+    assert (out_dir / stored_name).read_bytes() == message.read_bytes()
+    stdout.flush()
+    assert stdout.buffer.getvalue().endswith(b"out=" + os.fsencode(out_dir / stored_name) + b"\n")
 
 
 def test_every_carrier_command_parses_through_parse_carrier(tmp_path, carrier_wav, keyed_env,

@@ -213,15 +213,19 @@ def _carrier_bytes(draw):
 @given(_carrier_bytes())
 def test_parse_carrier_fails_closed_and_alike_on_a_memoryview(case):
     data, header = case
+    # a view of 16-bit items is still read byte by byte
+    views = [memoryview(data)] + ([memoryview(data).cast("h")] if len(data) % 2 == 0 else [])
     try:
         carrier = parse_carrier(data, header)
     except StegoStreamError as expected:
-        with pytest.raises(StegoStreamError) as got:
-            parse_carrier(memoryview(data), header)
-        assert (type(got.value), str(got.value)) == (type(expected), str(expected))
+        for view in views:
+            with pytest.raises(StegoStreamError) as got:
+                parse_carrier(view, header)
+            assert (type(got.value), str(got.value)) == (type(expected), str(expected))
         return
-    viewed = parse_carrier(memoryview(data), header)
-    assert isinstance(viewed.data, memoryview)
-    assert (viewed.header_len, viewed.body_end, viewed.format) == (
-        carrier.header_len, carrier.body_end, carrier.format)
-    assert bytes(carrier.data) == data == bytes(viewed.data)
+    for view in views:
+        viewed = parse_carrier(view, header)
+        assert isinstance(viewed.data, memoryview)
+        assert (viewed.header_len, viewed.body_end, viewed.format) == (
+            carrier.header_len, carrier.body_end, carrier.format)
+        assert bytes(carrier.data) == data == bytes(viewed.data)
