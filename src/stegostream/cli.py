@@ -292,6 +292,9 @@ def run(argv=None) -> int:
 
 
 def main():
+    # argv holds an undecodable file name as surrogate escapes; print it back
+    # as the same bytes, even where stdout's error handler would be strict
+    sys.stdout.reconfigure(errors="surrogateescape")
     sys.exit(run(sys.argv[1:]))
 
 

@@ -14,6 +14,7 @@ import enum
 import mmap
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ RIFF_TAG = b"RIFF"
 WAVE_TAG = b"WAVE"
 FMT_TAG = b"fmt "
 DATA_TAG = b"data"
+
+# the shared maps `open_carrier` made: only on these does dropping pages
+# keep the data (a private map would lose its writes)
+_SHARED_MAPS = weakref.WeakSet()
 
 
 class CarrierKind(enum.Enum):
@@ -70,14 +75,33 @@ class AudioCarrier:
         """
         return self.format.data_offset + self.format.data_len
 
+    def drop_pages(self, start: int, stop: int) -> int:
+        """Drop the pages from the one holding `start` to the last one ending by `stop`.
+
+        The caller is done with every byte below `stop`. Only a carrier
+        mapped by `open_carrier` is touched: its map is shared, so the pages
+        leave this process but stay in the page cache with their writes,
+        and a later read faults them back in. Returns the bytes dropped.
+        """
+        mapped = getattr(self.data, "obj", None)
+        if mapped not in _SHARED_MAPS:
+            return 0
+        low = start - start % mmap.PAGESIZE
+        high = stop - stop % mmap.PAGESIZE
+        if high <= low:
+            return 0
+        mapped.madvise(mmap.MADV_DONTNEED, low, high - low)
+        return high - low
+
 
 @contextlib.contextmanager
 def open_carrier(path, raw_header_override: int | None = None, *, write: bool = True):
     """Parse a carrier file in place, for patching or reading it.
 
     Yields the `parse_carrier` of a `memoryview` of a shared `mmap` of
-    the file, so only the pages touched are read. By default the view is
-    writable and writes to it change the file; with `write=False` the
+    the file, so only the pages touched are read, and pages done with
+    can be dropped again (`AudioCarrier.drop_pages`). By default the view
+    is writable and writes to it change the file; with `write=False` the
     file is opened read-only (a mode-0444 file will do) and so is the
     view. The view is released when the block ends, or, while an
     exception's traceback still holds arrays over it, when they are freed.
@@ -88,6 +112,8 @@ def open_carrier(path, raw_header_override: int | None = None, *, write: bool = 
             parse_carrier(b"", raw_header_override)
         mapped = mmap.mmap(file.fileno(), 0,
                            access=mmap.ACCESS_WRITE if write else mmap.ACCESS_READ)
+    if hasattr(mmap, "MADV_DONTNEED"):
+        _SHARED_MAPS.add(mapped)
     view = memoryview(mapped)
     try:
         yield parse_carrier(view, raw_header_override)

@@ -28,6 +28,7 @@ file decodes noise, and implausible sizes are the only rejection signal.
 from __future__ import annotations
 
 import enum
+import itertools
 import struct
 from dataclasses import dataclass, replace
 
@@ -194,49 +195,61 @@ def _split_lanes(plan: EmbedPlan) -> tuple[list[Lane], list[Lane]]:
     return lanes[:-2], lanes[-2:]
 
 
-def _chunks(arr: np.ndarray, lanes: list[Lane]):
-    """Yield (carrier view, plane) for runs of at most `_CHUNK_BITS` stream bits."""
-    for lane in lanes:
-        view = lane.view(arr)
-        for i in range(0, lane.count, _CHUNK_BITS):
-            yield view[i : i + _CHUNK_BITS], lane.plane
+def _chunks(carrier: AudioCarrier, lanes: list[Lane], skip: int = 0):
+    """Yield (carrier view, plane, stream bit position) in runs of `_CHUNK_BITS` bits.
+
+    The lanes' streams follow each other from bit `skip` on, but they are
+    walked in lockstep: chunk i of every lane, then chunk i+1. The head
+    and tail lanes cover one carrier span, so each page is touched in one
+    round, and after each round the pages below every unfinished lane's
+    next byte are dropped (`AudioCarrier.drop_pages`).
+    """
+    arr = np.frombuffer(carrier.data, dtype=np.uint8)
+    starts = list(itertools.accumulate((lane.count for lane in lanes), initial=skip))
+    done = 0
+    for i in range(0, max(lane.count for lane in lanes), _CHUNK_BITS):
+        for lane, start in zip(lanes, starts):
+            if i < lane.count:
+                yield lane.view(arr)[i : i + _CHUNK_BITS], lane.plane, start + i
+        following = i + _CHUNK_BITS
+        frontier = min((lane.start + lane.stride * following
+                        for lane in lanes if following < lane.count), default=0)
+        if frontier > done:
+            carrier.drop_pages(done, frontier)
+            done = frontier
 
 
-def _write_lanes(arr: np.ndarray, lanes: list[Lane], data: bytes, skip: int = 0):
+def _write_lanes(carrier: AudioCarrier, lanes: list[Lane], data: bytes, skip: int = 0):
     """Write the bits of `data`, MSB-first from bit `skip` on, over the lanes."""
     src = np.frombuffer(data, dtype=np.uint8)
-    pos = skip
-    for out, plane in _chunks(arr, lanes):
+    for out, plane, pos in _chunks(carrier, lanes, skip):
         n, lo = len(out), pos & 7
         bits = np.unpackbits(src[pos >> 3 : (pos + n + 7) >> 3])[lo : lo + n]
         bits <<= plane
         out &= np.uint8(0xFF ^ (1 << plane))
         out |= bits
-        pos += n
 
 
-def _read_lanes(arr: np.ndarray, lanes: list[Lane], skip: int = 0) -> bytes:
+def _read_lanes(carrier: AudioCarrier, lanes: list[Lane], skip: int = 0) -> bytes:
     """Pack `skip` zero bits, then the lanes' bits, MSB-first into bytes."""
     total = skip + sum(lane.count for lane in lanes)
-    out = np.empty(total // 8, dtype=np.uint8)
+    out = np.zeros(total // 8, dtype=np.uint8)
     bits = np.zeros(min(total, _CHUNK_BITS) + 8, dtype=np.uint8)
-    fill, at = skip, 0  # `fill` bits wait in `bits`, fewer than 8 between chunks
-    for view, plane in _chunks(arr, lanes):
-        end = fill + len(view)
-        np.right_shift(view, plane, out=bits[fill:end])
-        bits[fill:end] &= 1
-        whole = end >> 3
-        out[at : at + whole] = np.packbits(bits[: 8 * whole])
-        at += whole
-        fill = end & 7
-        bits[:fill] = bits[8 * whole : end]
+    for view, plane, pos in _chunks(carrier, lanes, skip):
+        # `lo` zero bits align the chunk to its first byte, whose other bits
+        # another chunk writes: OR keeps them
+        lo, end = pos & 7, (pos & 7) + len(view)
+        bits[:lo] = 0
+        np.right_shift(view, plane, out=bits[lo:end])
+        bits[lo:end] &= 1
+        out[pos >> 3 : (pos >> 3) + ((end + 7) >> 3)] |= np.packbits(bits[:end])
     return out.tobytes()
 
 
 # -- operations ---------------------------------------------------------------
 
 def _patch(carrier: AudioCarrier, write) -> AudioCarrier:
-    """Apply `write` to the carrier bytes as a uint8 array.
+    """Apply `write` to a carrier whose bytes are writable.
 
     A carrier over a writable memoryview (`open_carrier`) is patched in
     place and returned; any other carrier is left alone and a patched
@@ -244,10 +257,10 @@ def _patch(carrier: AudioCarrier, write) -> AudioCarrier:
     """
     data = carrier.data
     if isinstance(data, memoryview) and not data.readonly:
-        write(np.frombuffer(data, dtype=np.uint8))
+        write(carrier)
         return carrier
     buf = bytearray(data)
-    write(np.frombuffer(buf, dtype=np.uint8))
+    write(replace(carrier, data=memoryview(buf)))
     return replace(carrier, data=bytes(buf))
 
 
@@ -269,9 +282,9 @@ def embed(carrier: AudioCarrier, payload: SealedPayload, mode: StegoMode) -> Aud
     header = _STREAM_HEADER.pack(mode.flag_bit, payload.file_type_code, payload.declared_size)
     metadata, payload_lanes = _split_lanes(plan)
 
-    def write(arr):
-        _write_lanes(arr, metadata, header, _STREAM_PAD_BITS)
-        _write_lanes(arr, payload_lanes, payload.ciphertext)
+    def write(target):
+        _write_lanes(target, metadata, header, _STREAM_PAD_BITS)
+        _write_lanes(target, payload_lanes, payload.ciphertext)
 
     return _patch(carrier, write)
 
@@ -293,9 +306,9 @@ def inspect_carrier(carrier: AudioCarrier) -> tuple[StegoMode, int, int]:
             f"carrier ends inside the {mode.value} metadata block "
             f"({limit - h} bytes past header, {mode.reserved_bytes} needed)"
         )
-    arr = np.frombuffer(carrier.data, dtype=np.uint8)
     metadata, _ = _split_lanes(plan_embed(h, 0, mode))
-    _, type_code, declared = _STREAM_HEADER.unpack(_read_lanes(arr, metadata, _STREAM_PAD_BITS))
+    _, type_code, declared = _STREAM_HEADER.unpack(
+        _read_lanes(carrier, metadata, _STREAM_PAD_BITS))
     return mode, type_code, declared
 
 
@@ -311,7 +324,7 @@ def extract(carrier: AudioCarrier, passphrase: str) -> tuple[bytes, str]:
             f"declared size {declared} does not fit this carrier; no valid message"
         )
     _, payload_lanes = _split_lanes(plan)
-    ciphertext = _read_lanes(np.frombuffer(carrier.data, dtype=np.uint8), payload_lanes)
+    ciphertext = _read_lanes(carrier, payload_lanes)
     payload = SealedPayload(ciphertext, type_code, declared)
     return unseal(payload, passphrase), extension_for_code(type_code)
 
@@ -333,9 +346,13 @@ def delete_message(carrier: AudioCarrier, passphrase: str = "") -> AudioCarrier:
             f"declared size {declared} does not fit this carrier; nothing to delete"
         )
 
-    def blank(arr):
-        # the size field and the payload span are one contiguous run
-        arr[plan.size_field_range.start : plan.required_size] &= 0xFE
-        arr[plan.flag_offset] &= 0xFE
+    # the size field and the payload span are one stride-1 LSB lane
+    start = plan.size_field_range.start
+    blanked = Lane(start, 1, plan.required_size - start, PLANE_LSB)
+
+    def blank(target):
+        target.data[plan.flag_offset] &= 0xFE
+        for view, _, _ in _chunks(target, [blanked]):
+            view &= 0xFE
 
     return _patch(carrier, blank)

@@ -1,9 +1,12 @@
 import builtins
 import io
+import json
 import os
 import random
 import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,8 @@ from stegostream.errors import StegoStreamError
 from stegostream.stego import StegoMode, capacity, inspect_carrier
 
 from conftest import build_wav, pcm16_bytes
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -581,3 +586,58 @@ def test_error_classes_carry_documented_exit_code(error_type, carrier_wav, monke
     monkeypatch.setattr(stego, "capacity", fail)
     assert cli.run(["capacity", str(carrier_wav)]) == _DOCUMENTED_EXIT_CODES[error_type.__name__]
     assert "error: boom" in capsys.readouterr().err
+
+
+def _child_env(**extra) -> dict:
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src"), "CHILD_KEY": "key", **extra}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs file names that are not UTF-8")
+def test_undecodable_out_name_prints_byte_for_byte(tmp_path, carrier_wav):
+    # with a strict stdout the out= line used to raise after the file was written
+    env = _child_env(PYTHONIOENCODING="utf-8:strict")
+    message = tmp_path / "m.txt"
+    message.write_bytes(b"names are bytes\n")
+    stego_path = tmp_path / os.fsdecode(b"\xff.wav")
+    out_dir = tmp_path / "recovered"
+    for argv, out in [
+        (["embed", "--carrier", str(carrier_wav), "--message", str(message),
+          "--out", str(stego_path)], stego_path),
+        (["extract", "--carrier", str(stego_path), "--out-dir", str(out_dir)],
+         out_dir / os.fsdecode(b"\xff.txt")),
+    ]:
+        run = subprocess.run([sys.executable, "-m", "stegostream", *argv, "--key-env", "CHILD_KEY"],
+                             env=env, capture_output=True, timeout=60)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout.endswith(b"out=" + os.fsencode(out) + b"\n")
+    assert (out_dir / os.fsdecode(b"\xff.txt")).read_bytes() == message.read_bytes()
+
+
+def _peak_rss_mib(tmp_path, *command: str) -> float:
+    """Peak RSS of one `python` child, started through the benchmark's
+    `timed.py` so that the figure is the child's own and not inherited."""
+    result = tmp_path / "timed.json"
+    subprocess.run([sys.executable, "-I", "-S", str(ROOT / "perfbench" / "timed.py"), str(result),
+                    "--", sys.executable, *command],
+                   env=_child_env(), check=True, capture_output=True, timeout=120)
+    record = json.loads(result.read_text())
+    assert record["code"] == 0
+    return record["maxrss_kib"] / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="pages are dropped with Linux's madvise")
+def test_embed_and_delete_memory_follows_the_window_not_the_carrier(tmp_path):
+    # a near-capacity message touches every page of the 16 MiB carrier
+    carrier = tmp_path / "carrier.wav"
+    carrier.write_bytes(build_wav(random.Random(9).randbytes(16 << 20)))
+    size = capacity(parse_carrier(carrier.read_bytes()), StegoMode.REGULAR)
+    message = tmp_path / "m.bin"
+    message.write_bytes(random.Random(10).randbytes(size))
+    floor = _peak_rss_mib(tmp_path, "-c", "import stegostream.cli")
+    embed_peak = _peak_rss_mib(tmp_path, "-m", "stegostream", "embed", "--carrier", str(carrier),
+                               "--message", str(message), "--out", str(tmp_path / "s.wav"),
+                               "--mode", "regular", "--key-env", "CHILD_KEY")
+    delete_peak = _peak_rss_mib(tmp_path, "-m", "stegostream", "delete", "--carrier",
+                                str(tmp_path / "s.wav"), "--out", str(tmp_path / "d.wav"))
+    assert embed_peak - floor <= 12
+    assert delete_peak - floor <= 12

@@ -1,3 +1,5 @@
+import functools
+import mmap
 import random
 import tracemalloc
 
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from stegostream import stego as stego_module
 from stegostream.cipher import SealedPayload, seal
-from stegostream.container import open_carrier, parse_carrier
+from stegostream.container import AudioCarrier, open_carrier, parse_carrier
 from stegostream.errors import CapacityExceeded, CarrierTooSmall, SizeImplausible
 from stegostream.stego import (
     StegoMode,
@@ -398,24 +400,90 @@ def _patched_in_place(path, file_bytes, header, operation) -> bytes:
     return path.read_bytes()
 
 
+def _assert_patch_equals_copy(patch, file_bytes, header, payload, mode):
+    """`patch(file_bytes, header, operation)` gives the bytes that the copy
+    path gives for embed and then for delete, with header and tail kept."""
+    carrier = parse_carrier(file_bytes, header)
+    h, end = carrier.header_len, carrier.body_end
+
+    stego = patch(file_bytes, header, lambda c: embed(c, payload, mode))
+    assert stego == embed(carrier, payload, mode).data
+    assert stego[:h] == file_bytes[:h] and stego[end:] == file_bytes[end:]
+
+    cleaned = patch(stego, header, delete_message)
+    assert cleaned == delete_message(parse_carrier(stego, header)).data
+    assert cleaned[:h] == file_bytes[:h] and cleaned[end:] == file_bytes[end:]
+
+
 @given(carrier_files(), st.sampled_from(MODES), st.data())
 def test_in_place_equals_copy(tmp_path_factory, carrier_file, mode, data):
     file_bytes, header = carrier_file
-    carrier = parse_carrier(file_bytes, header)
-    fit = capacity(carrier, mode)
+    fit = capacity(parse_carrier(file_bytes, header), mode)
     assume(fit >= 1)
     size = data.draw(st.integers(min_value=1, max_value=min(fit, 64)))
     payload = SealedPayload(data.draw(st.binary(min_size=size, max_size=size)), 2, size)
     path = tmp_path_factory.getbasetemp() / "in-place.bin"
-    h, end = carrier.header_len, carrier.body_end
+    _assert_patch_equals_copy(functools.partial(_patched_in_place, path), file_bytes, header,
+                              payload, mode)
 
-    stego = _patched_in_place(path, file_bytes, header, lambda c: embed(c, payload, mode))
-    assert stego == embed(carrier, payload, mode).data
-    assert stego[:h] == file_bytes[:h] and stego[end:] == file_bytes[end:]
 
-    cleaned = _patched_in_place(path, stego, header, delete_message)
-    assert cleaned == delete_message(parse_carrier(stego, header)).data
-    assert cleaned[:h] == file_bytes[:h] and cleaned[end:] == file_bytes[end:]
+def _multi_page_cases(rng, mode):
+    """(file bytes, raw header override, payload) on carriers of a few pages:
+    a raw one with a header, and a WAV whose odd data chunk is followed by
+    another chunk; messages fill the carrier or about three quarters of it."""
+    page = mmap.PAGESIZE
+    for file_bytes, header in [
+        (rng.randbytes(6 * page + 123), 300),
+        (build_wav(rng.randbytes(5 * page + 77), post_data_chunks=[(b"cue ", b"c" * 9)]), None),
+    ]:
+        fit = capacity(parse_carrier(file_bytes, header), mode)
+        for size in (fit - rng.randrange(3), 3 * fit // 4 + rng.randrange(1, 100)):
+            yield file_bytes, header, SealedPayload(rng.randbytes(size), 2, size)
+
+
+@pytest.mark.parametrize("chunk_bits", [8, 13, mmap.PAGESIZE])
+@pytest.mark.parametrize("mode", MODES)
+def test_dropping_pages_keeps_in_place_equal_to_copy(tmp_path, monkeypatch, chunk_bits, mode):
+    # small chunks end inside lanes and pages, so pages are dropped mid-lane
+    monkeypatch.setattr(stego_module, "_CHUNK_BITS", chunk_bits)
+    dropped = []
+    drop_pages = AudioCarrier.drop_pages
+
+    def spy(carrier, start, stop):
+        dropped.append(drop_pages(carrier, start, stop))
+        return dropped[-1]
+
+    monkeypatch.setattr(AudioCarrier, "drop_pages", spy)
+
+    def patch(file_bytes, header, operation):
+        dropped.clear()
+        patched = _patched_in_place(tmp_path / "carrier.bin", file_bytes, header, operation)
+        assert sum(dropped) >= mmap.PAGESIZE
+        return patched
+
+    for file_bytes, header, payload in _multi_page_cases(random.Random(chunk_bits), mode):
+        _assert_patch_equals_copy(patch, file_bytes, header, payload, mode)
+
+
+def _patched_private_map(path, file_bytes, header, operation) -> bytes:
+    path.write_bytes(file_bytes)
+    with open(path, "rb") as file, \
+            mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_COPY) as private, \
+            memoryview(private) as view:
+        carrier = parse_carrier(view, header)
+        assert operation(carrier) is carrier
+        patched = bytes(view)
+    assert path.read_bytes() == file_bytes
+    return patched
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_private_map_keeps_its_writes(tmp_path, monkeypatch, mode):
+    # dropping a private map's pages would throw away what was written there
+    monkeypatch.setattr(stego_module, "_CHUNK_BITS", mmap.PAGESIZE)
+    patch = functools.partial(_patched_private_map, tmp_path / "carrier.bin")
+    for file_bytes, header, payload in _multi_page_cases(random.Random(7), mode):
+        _assert_patch_equals_copy(patch, file_bytes, header, payload, mode)
 
 
 def _traced_peak(call):
