@@ -12,6 +12,7 @@ import contextlib
 import getpass
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -55,6 +56,15 @@ def _passphrase(args) -> str:
         # getpass has written its prompt without a newline
         sys.stderr.write("\n")
         raise EmptyPassphrase("no passphrase: standard input is closed") from None
+
+
+def _require_regular_files(args):
+    """Refuse a carrier or WAV path that is not a regular file before anything
+    opens it: a FIFO blocks in open(), and a device like /dev/zero never ends."""
+    for name in ("carrier", "original", "stego"):
+        path = getattr(args, name, None)
+        if path is not None and not stat.S_ISREG(os.stat(path).st_mode):
+            raise shutil.SpecialFileError(f"{path} is not a regular file")
 
 
 @contextlib.contextmanager
@@ -282,6 +292,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _require_regular_files(args)
         return args.func(args)
     except StegoStreamError as exc:
         print(f"error: {exc}", file=sys.stderr)

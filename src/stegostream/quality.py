@@ -107,9 +107,10 @@ def waveform_compare(a, b, max_lag: int) -> tuple[float, int]:
     overlap. Ties prefer the smaller |lag|, then the negative one. Zero
     total energy on either side yields (0.0, 0).
 
-    Sums are taken block by block (`_lag_dots`); for 16-bit samples every
-    block dot is an exact integer, so the numerators and energies are
-    those of one whole-signal float64 dot wherever that dot is exact.
+    Sums are taken block by block (`_lag_dots`), an energy being a
+    signal's lag-0 dot with itself; for 16-bit samples every block dot is
+    an exact integer, so the numerators and energies are those of one
+    whole-signal float64 dot wherever that dot is exact.
     """
     xs = _as_samples(a)
     ys = _as_samples(b)
@@ -117,7 +118,7 @@ def waveform_compare(a, b, max_lag: int) -> tuple[float, int]:
         raise EmptyInput("waveform comparison needs non-empty signals")
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    denom = math.sqrt(_energy(xs) * _energy(ys))
+    denom = math.sqrt(_lag_dots(xs, xs, range(1))[0] * _lag_dots(ys, ys, range(1))[0])
     if denom == 0.0:
         return 0.0, 0
     # past the overlap every lag scores 0.0, so one such lag per side is enough
@@ -139,15 +140,6 @@ def _as_samples(values) -> np.ndarray:
     """An ndarray as it is, since blocks are converted one at a time;
     anything else as float64."""
     return values if isinstance(values, np.ndarray) else np.asarray(values, dtype=np.float64)
-
-
-def _energy(values: np.ndarray) -> float:
-    """sum(values^2) in float64, one block at a time."""
-    total = 0.0
-    for start in range(0, values.size, BLOCK_SAMPLES):
-        block = values[start : start + BLOCK_SAMPLES].astype(np.float64)
-        total += float((block * block).sum())
-    return total
 
 
 def _lag_dots(xs: np.ndarray, ys: np.ndarray, lags: range) -> list[float | None]:

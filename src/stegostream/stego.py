@@ -50,27 +50,31 @@ def read_bit(value: int, plane: int) -> int:
 
 
 class StegoMode(enum.Enum):
-    """Embedding layout plus its per-mode constants.
+    """Embedding layout: its flag bit and how many bit planes it writes.
 
+    Every other constant follows from the plane count: the type byte takes
+    `8 // planes` carrier bytes and the size `32 // planes`, and
     `head_byte_span` is how many carrier bytes one head-half message byte
     occupies (the matching tail byte rides inside the same span).
     """
 
-    def __new__(cls, label, flag_bit, type_field_len, size_field_len, head_byte_span):
+    def __new__(cls, label, flag_bit, planes):
         obj = object.__new__(cls)
         obj._value_ = label
         obj.flag_bit = flag_bit
-        obj.type_field_len = type_field_len
-        obj.size_field_len = size_field_len
-        obj.head_byte_span = head_byte_span
+        obj.planes = planes
         return obj
 
-    REGULAR = ("regular", 1, 8, 32, 16)
-    EXCESSIVE = ("excessive", 0, 4, 16, 8)
+    REGULAR = ("regular", 1, 1)
+    EXCESSIVE = ("excessive", 0, 2)
 
     @property
     def reserved_bytes(self) -> int:
-        return 1 + self.type_field_len + self.size_field_len
+        return 1 + 40 // self.planes
+
+    @property
+    def head_byte_span(self) -> int:
+        return 16 // self.planes
 
 
 # -- file types ---------------------------------------------------------------
@@ -125,22 +129,20 @@ class EmbedPlan:
         return self.mode.head_byte_span * self.head_len
 
     def lanes(self) -> list[Lane]:
-        """The layout's lanes in stream order: flag, type, size, head, tail."""
-        base = self.payload_base
-        head_bits, tail_bits = 8 * self.head_len, 8 * self.tail_len
-        if self.mode is StegoMode.REGULAR:
-            return [
-                Lane(self.flag_offset, 1, self.mode.reserved_bytes, PLANE_LSB),
-                Lane(base, 2, head_bits, PLANE_LSB),
-                Lane(base + 1, 2, tail_bits, PLANE_LSB),
-            ]
+        """The layout's lanes in stream order: flag, type, size, head, tail.
+
+        Each field takes one lane per plane; half k (0 head, 1 tail) starts
+        k // planes bytes into the payload with stride 2 // planes in plane
+        k % planes.
+        """
+        planes = self.mode.planes
         return [
             Lane(self.flag_offset, 1, 1, PLANE_LSB),
             *(Lane(field.start, 1, len(field), plane)
               for field in (self.type_field_range, self.size_field_range)
-              for plane in (PLANE_LSB, PLANE_SEVENTH)),
-            Lane(base, 1, head_bits, PLANE_LSB),
-            Lane(base, 1, tail_bits, PLANE_SEVENTH),
+              for plane in range(planes)),
+            *(Lane(self.payload_base + k // planes, 2 // planes, 8 * half, k % planes)
+              for k, half in enumerate((self.head_len, self.tail_len))),
         ]
 
 
@@ -153,8 +155,8 @@ def plan_embed(header_len: int, message_len: int, mode: StegoMode) -> EmbedPlan:
     head_len = (message_len + 1) // 2
     tail_len = message_len // 2
     type_start = header_len + 1
-    size_start = type_start + mode.type_field_len
-    payload_base = size_start + mode.size_field_len
+    size_start = type_start + 8 // mode.planes
+    payload_base = header_len + mode.reserved_bytes
     return EmbedPlan(
         mode=mode,
         flag_offset=header_len,
@@ -312,20 +314,28 @@ def inspect_carrier(carrier: AudioCarrier) -> tuple[StegoMode, int, int]:
     return mode, type_code, declared
 
 
+def _found_message(carrier: AudioCarrier, smallest: int, outcome: str) -> tuple[EmbedPlan, int]:
+    """(plan, file type code) of the message the metadata declares.
+
+    Raises SizeImplausible, naming the `outcome`, when the declared size is
+    below `smallest` or the payload would run past the body.
+    """
+    mode, type_code, declared = inspect_carrier(carrier)
+    plan = plan_embed(carrier.header_len, declared, mode)
+    if declared < smallest or plan.required_size > carrier.body_end:
+        raise SizeImplausible(f"declared size {declared} does not fit this carrier; {outcome}")
+    return plan, type_code
+
+
 def extract(carrier: AudioCarrier, passphrase: str) -> tuple[bytes, str]:
     """Recover (plaintext, extension) from an embedded carrier.
 
     A wrong passphrase produces garbage plaintext, not an error.
     """
-    mode, type_code, declared = inspect_carrier(carrier)
-    plan = plan_embed(carrier.header_len, declared, mode)
-    if declared < 1 or plan.required_size > carrier.body_end:
-        raise SizeImplausible(
-            f"declared size {declared} does not fit this carrier; no valid message"
-        )
+    plan, type_code = _found_message(carrier, 1, "no valid message")
     _, payload_lanes = _split_lanes(plan)
     ciphertext = _read_lanes(carrier, payload_lanes)
-    payload = SealedPayload(ciphertext, type_code, declared)
+    payload = SealedPayload(ciphertext, type_code, plan.message_len)
     return unseal(payload, passphrase), extension_for_code(type_code)
 
 
@@ -339,12 +349,7 @@ def delete_message(carrier: AudioCarrier, passphrase: str = "") -> AudioCarrier:
     parity only; nothing verifies it. An `open_carrier` carrier is
     blanked in place and returned; any other gets a blanked copy.
     """
-    mode, _, declared = inspect_carrier(carrier)
-    plan = plan_embed(carrier.header_len, declared, mode)
-    if plan.required_size > carrier.body_end:
-        raise SizeImplausible(
-            f"declared size {declared} does not fit this carrier; nothing to delete"
-        )
+    plan, _ = _found_message(carrier, 0, "nothing to delete")
 
     # the size field and the payload span are one stride-1 LSB lane
     start = plan.size_field_range.start

@@ -21,6 +21,7 @@ failing one never stops the server.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import os
@@ -29,6 +30,7 @@ import socket
 import struct
 import tempfile
 import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -99,17 +101,19 @@ class _PeerClosed(Exception):
     """The peer closed the connection before its frame ended."""
 
 
-def _recv_exact(conn: socket.socket, count: int) -> bytes:
-    """Read exactly `count` bytes; raises _PeerClosed if the peer closes first."""
-    chunks = []
-    remaining = count
-    while remaining > 0:
-        piece = conn.recv(min(remaining, _CHUNK))
+def _recv_pieces(conn: socket.socket, count: int):
+    """Yield the next `count` bytes as they arrive; raises _PeerClosed if the peer closes first."""
+    while count > 0:
+        piece = conn.recv(min(count, _CHUNK))
         if not piece:
             raise _PeerClosed
-        chunks.append(piece)
-        remaining -= len(piece)
-    return b"".join(chunks)
+        yield piece
+        count -= len(piece)
+
+
+def _recv_exact(conn: socket.socket, count: int) -> bytes:
+    """Read exactly `count` bytes; raises _PeerClosed if the peer closes first."""
+    return b"".join(_recv_pieces(conn, count))
 
 
 def send_file(host: str, port: int, file_path, timeout: float = DEFAULT_TIMEOUT) -> int:
@@ -151,7 +155,7 @@ class FileReceiver:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.timeout = timeout
-        self._workers: set[threading.Thread] = set()
+        self._workers: dict[threading.Thread, socket.socket] = {}
         self._accept_thread: threading.Thread | None = None
         self._closing = False
         try:
@@ -175,15 +179,19 @@ class FileReceiver:
         self._accept_thread.start()
 
     def stop(self):
+        """Stop accepting, cut the open connections short and wait for the
+        threads, 5 s at most in all."""
         self._closing = True
-        try:
+        with contextlib.suppress(OSError):
             self._listener.close()
-        except OSError:
-            pass
+        deadline = time.monotonic() + 5
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
+        for conn in list(self._workers.values()):
+            with contextlib.suppress(OSError):  # a worker waiting on a silent peer reads EOF
+                conn.shutdown(socket.SHUT_RDWR)
         for worker in list(self._workers):
-            worker.join(timeout=5)
+            worker.join(max(0.0, deadline - time.monotonic()))
 
     def serve_forever(self):
         """Accept connections on the calling thread until stop()."""
@@ -198,7 +206,7 @@ class FileReceiver:
                 return
             conn.settimeout(self.timeout)
             worker = threading.Thread(target=self._run_connection, args=(conn, addr), daemon=True)
-            self._workers.add(worker)
+            self._workers[worker] = conn
             worker.start()
 
     def _run_connection(self, conn: socket.socket, addr):
@@ -210,7 +218,7 @@ class FileReceiver:
         except Exception:
             log.warning("connection from %s failed", addr, exc_info=True)
         finally:
-            self._workers.discard(threading.current_thread())
+            self._workers.pop(threading.current_thread(), None)
 
     def _handle(self, conn: socket.socket, addr):
         magic = _recv_exact(conn, len(MAGIC))
@@ -227,18 +235,14 @@ class FileReceiver:
             name = None
         name_valid = name is not None and _name_ok(name, name_bytes)
 
-        crc = received = 0
+        crc = 0
         reject_reason = None
         # the temp file is gone before the ack, so the peer never observes
         # a half-finished out_dir
         with tempfile.NamedTemporaryFile(dir=self.out_dir, prefix=".incoming-") as tmp:
-            while received < body_len:
-                piece = conn.recv(min(body_len - received, _CHUNK))
-                if not piece:
-                    raise _PeerClosed
+            for piece in _recv_pieces(conn, body_len):
                 tmp.write(piece)
                 crc = zlib.crc32(piece, crc)
-                received += len(piece)
             crc_field = _recv_exact(conn, _CRC.size)
             if not name_valid:
                 reject_reason = f"unsafe or invalid name {name_bytes!r}"
@@ -252,5 +256,5 @@ class FileReceiver:
             log.warning("rejecting %s: %s", addr, reject_reason)
             conn.sendall(ACK_REJECTED)
         else:
-            log.info("stored %s (%d bytes) from %s", stored, received, addr)
+            log.info("stored %s (%d bytes) from %s", stored, body_len, addr)
             conn.sendall(ACK_OK)

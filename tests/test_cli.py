@@ -613,6 +613,46 @@ def test_undecodable_out_name_prints_byte_for_byte(tmp_path, carrier_wav):
     assert (out_dir / os.fsdecode(b"\xff.txt")).read_bytes() == message.read_bytes()
 
 
+def _limit_child():
+    # a child that reads /dev/zero or copies it stops at these limits
+    # instead of taking the machine's memory or disk
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_FSIZE, (16 << 20, 16 << 20))
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs mkfifo and /dev/zero")
+@pytest.mark.parametrize("argv", [
+    ["inspect", "{fifo}"],
+    ["capacity", "{fifo}"],
+    ["snr", "--original", "{fifo}", "--stego", "{wav}"],
+    ["compare", "--original", "{wav}", "--stego", "{fifo}"],
+    ["extract", "--carrier", "{fifo}", "--out-dir", "{out}", "--key-env", "CHILD_KEY"],
+    ["extract", "--carrier", "/dev/zero", "--out-dir", "{out}", "--key-env", "CHILD_KEY"],
+    ["embed", "--carrier", "{fifo}", "--message", "{message}", "--out", "{out}",
+     "--key-env", "CHILD_KEY"],
+    ["embed", "--carrier", "/dev/zero", "--message", "{message}", "--out", "{out}",
+     "--key-env", "CHILD_KEY"],
+    ["delete", "--carrier", "/dev/zero", "--out", "{out}"],
+], ids=["inspect-fifo", "capacity-fifo", "snr-fifo", "compare-fifo", "extract-fifo",
+        "extract-zero", "embed-fifo", "embed-zero", "delete-zero"])
+def test_carrier_and_wav_paths_must_be_regular_files(argv, tmp_path, carrier_wav):
+    # opened, a FIFO blocks and /dev/zero never ends, so neither may be opened at all
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    message = tmp_path / "m.txt"
+    message.write_bytes(b"hello")
+    paths = {"fifo": fifo, "wav": carrier_wav, "message": message, "out": tmp_path / "out"}
+    argv = [arg.format(**paths) for arg in argv]
+    run = subprocess.run([sys.executable, "-m", "stegostream", *argv], env=_child_env(),
+                         capture_output=True, timeout=30, preexec_fn=_limit_child)
+    special = str(fifo) if str(fifo) in argv else "/dev/zero"
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr == f"error: {special} is not a regular file\n".encode()
+    assert sorted(tmp_path.iterdir()) == sorted([fifo, carrier_wav, message])
+
+
 def _peak_rss_mib(tmp_path, *command: str) -> float:
     """Peak RSS of one `python` child, started through the benchmark's
     `timed.py` so that the figure is the child's own and not inherited."""

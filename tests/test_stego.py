@@ -25,7 +25,7 @@ from stegostream.stego import (
 )
 
 from conftest import build_wav
-from reference_embedder import reference_embed
+from reference_embedder import reference_embed, reference_placements
 
 MODES = list(StegoMode)
 
@@ -54,6 +54,7 @@ def test_mode_constants():
     assert (regular.flag_bit, excessive.flag_bit) == (1, 0)
     assert regular.reserved_bytes == 1 + 8 + 32 == 41
     assert excessive.reserved_bytes == 1 + 4 + 16 == 21
+    assert (regular.head_byte_span, excessive.head_byte_span) == (16, 8)
 
 
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=4000),
@@ -70,6 +71,9 @@ def test_plan_split_and_disjointness(header_len, message_len, mode):
         for i in range(lane.count)
     ]
     assert len(slots) == len(set(slots)) == 41 + 8 * message_len
+    # the lanes place each stream bit where the brute-force oracle does
+    assert slots == [(offset, plane) for offset, plane, _ in
+                     reference_placements(header_len, bytes(message_len), 0, mode.value)]
     assert all(plan.flag_offset <= offset < plan.required_size for offset, _ in slots)
     assert plan.required_size == plan.payload_base + plan.payload_span
 

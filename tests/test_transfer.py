@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import itertools
@@ -218,6 +219,22 @@ def test_peer_closing_early_logs_one_info_line(tmp_path, caplog, cut):
     records = [r for r in caplog.records if r.name == "stegostream.transfer"]
     assert [r.levelno for r in records] == [logging.INFO]
     assert "closed before its frame ended" in records[0].getMessage()
+    assert list((tmp_path / "inbox").iterdir()) == []
+
+
+def test_stop_is_bounded_with_idle_peers(tmp_path):
+    # three peers that connect and send nothing may not hold stop() for their timeouts
+    with FileReceiver(0, tmp_path / "inbox") as server, contextlib.ExitStack() as peers:
+        for _ in range(3):
+            peers.enter_context(socket.create_connection(("127.0.0.1", server.port), timeout=5))
+        deadline = time.monotonic() + 5
+        while len(server._workers) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server._workers) == 3
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 3
+        assert not server._workers
     assert list((tmp_path / "inbox").iterdir()) == []
 
 
