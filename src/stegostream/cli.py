@@ -15,6 +15,7 @@ import shutil
 import stat
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 from . import container, quality, stego, transfer
@@ -81,10 +82,10 @@ def _patched_copy(carrier_path, out, header_size):
     try:
         tmp = os.path.join(tmp_dir, "carrier")
         shutil.copyfile(carrier_path, tmp)
-        if os.path.exists(target):
-            shutil.copymode(target, tmp)
         with container.open_carrier(tmp, header_size) as carrier:
             yield carrier
+        if os.path.exists(target):  # after the patch: a read-only mode would refuse it
+            shutil.copymode(target, tmp)
         os.replace(tmp, target)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -196,15 +197,11 @@ def _cmd_send(args) -> int:
 
 
 def _cmd_recv(args) -> int:
-    receiver = transfer.FileReceiver(args.port, args.out)
-    print(f"listening_port={receiver.port}")
-    print(f"out_dir={args.out}")
-    try:
-        receiver.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        receiver.stop()
+    with transfer.FileReceiver(args.port, args.out) as receiver, \
+            contextlib.suppress(KeyboardInterrupt):
+        print(f"listening_port={receiver.port}")
+        print(f"out_dir={args.out}")
+        threading.Event().wait()  # until Ctrl-C
     return 0
 
 
@@ -294,12 +291,9 @@ def run(argv=None) -> int:
     try:
         _require_regular_files(args)
         return args.func(args)
-    except StegoStreamError as exc:
+    except (StegoStreamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 def main():

@@ -123,17 +123,9 @@ def waveform_compare(a, b, max_lag: int) -> tuple[float, int]:
         return 0.0, 0
     # past the overlap every lag scores 0.0, so one such lag per side is enough
     lags = range(-min(max_lag, xs.size), min(max_lag, ys.size) + 1)
-    dots = _lag_dots(xs, ys, lags)
-    best_r = -math.inf
-    best_lag = 0
-    # visiting in tie order lets the first of equal scores win
-    for lag in sorted(lags, key=lambda k: (abs(k), k)):
-        dot = dots[lag - lags.start]
-        r = dot / denom if dot is not None else 0.0
-        if r > best_r:
-            best_r = r
-            best_lag = lag
-    return best_r, best_lag
+    scores = [dot / denom if dot is not None else 0.0 for dot in _lag_dots(xs, ys, lags)]
+    best = max(range(len(lags)), key=lambda i: (scores[i], -abs(lags[i]), -lags[i]))
+    return scores[best], lags[best]
 
 
 def _as_samples(values) -> np.ndarray:

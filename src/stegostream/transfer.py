@@ -59,19 +59,25 @@ _CRC = struct.Struct(">I")
 def encode_frame(name: str, payload: bytes) -> bytes:
     """Build one wire frame; the name must be a bare file name."""
     name_bytes = name.encode("utf-8")
-    if not _name_ok(name, name_bytes):
+    if _wire_name(name_bytes) is None:
         raise ValueError(f"invalid transfer file name: {name!r}")
     return b"".join((_HEAD.pack(MAGIC, len(name_bytes)), name_bytes, _BODY_LEN.pack(len(payload)),
                      payload, _CRC.pack(zlib.crc32(payload))))
 
 
-def _name_ok(name: str, name_bytes: bytes) -> bool:
+def _wire_name(name_bytes: bytes) -> str | None:
+    """The file name that `name_bytes` encodes, or None when it is not UTF-8
+    or not a bare file name."""
+    try:
+        name = name_bytes.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
     # a leading dot covers ".", ".." and the receiver's own temp prefix
     if not 1 <= len(name_bytes) <= MAX_NAME_BYTES or name.startswith("."):
-        return False
-    if "/" in name or "\\" in name:
-        return False
-    return not _CONTROL_CHARS.search(name)
+        return None
+    if "/" in name or "\\" in name or _CONTROL_CHARS.search(name):
+        return None
+    return name
 
 
 def claim_name(source, out_dir: Path, stem: str, suffix: str) -> Path:
@@ -148,15 +154,17 @@ def send_file(host: str, port: int, file_path, timeout: float = DEFAULT_TIMEOUT)
 
 
 class FileReceiver:
-    """Accepts transfer connections and stores verified files in out_dir."""
+    """Accepts transfer connections and stores verified files in out_dir.
 
-    def __init__(self, port: int, out_dir, host: str = "0.0.0.0",
-                 timeout: float = DEFAULT_TIMEOUT):
+    Used as a context manager: entering starts the accept thread, leaving
+    calls stop().
+    """
+
+    def __init__(self, port: int, out_dir, host: str = "0.0.0.0"):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.timeout = timeout
         self._workers: dict[threading.Thread, socket.socket] = {}
-        self._accept_thread: threading.Thread | None = None
+        self._accept_thread = threading.Thread(target=self._serve_forever, daemon=True)
         self._closing = False
         try:
             self._listener = socket.create_server((host, port))
@@ -167,16 +175,11 @@ class FileReceiver:
         self.port = self._listener.getsockname()[1]
 
     def __enter__(self):
-        self.start()
+        self._accept_thread.start()
         return self
 
     def __exit__(self, *exc_info):
         self.stop()
-
-    def start(self):
-        """Accept connections on a background thread."""
-        self._accept_thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._accept_thread.start()
 
     def stop(self):
         """Stop accepting, cut the open connections short and wait for the
@@ -185,16 +188,14 @@ class FileReceiver:
         with contextlib.suppress(OSError):
             self._listener.close()
         deadline = time.monotonic() + 5
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
+        self._accept_thread.join(timeout=5)
         for conn in list(self._workers.values()):
             with contextlib.suppress(OSError):  # a worker waiting on a silent peer reads EOF
                 conn.shutdown(socket.SHUT_RDWR)
         for worker in list(self._workers):
             worker.join(max(0.0, deadline - time.monotonic()))
 
-    def serve_forever(self):
-        """Accept connections on the calling thread until stop()."""
+    def _serve_forever(self):
         while not self._closing:
             try:
                 conn, addr = self._listener.accept()
@@ -204,7 +205,7 @@ class FileReceiver:
                 if not self._closing:
                     log.warning("listener closed unexpectedly")
                 return
-            conn.settimeout(self.timeout)
+            conn.settimeout(DEFAULT_TIMEOUT)
             worker = threading.Thread(target=self._run_connection, args=(conn, addr), daemon=True)
             self._workers[worker] = conn
             worker.start()
@@ -228,12 +229,8 @@ class FileReceiver:
         _, name_len = _HEAD.unpack(magic + _recv_exact(conn, _HEAD.size - len(MAGIC)))
         rest = _recv_exact(conn, name_len + _BODY_LEN.size)
         name_bytes = rest[:name_len]
+        name = _wire_name(name_bytes)
         (body_len,) = _BODY_LEN.unpack_from(rest, name_len)
-        try:
-            name = name_bytes.decode("utf-8")
-        except UnicodeDecodeError:
-            name = None
-        name_valid = name is not None and _name_ok(name, name_bytes)
 
         crc = 0
         reject_reason = None
@@ -244,7 +241,7 @@ class FileReceiver:
                 tmp.write(piece)
                 crc = zlib.crc32(piece, crc)
             crc_field = _recv_exact(conn, _CRC.size)
-            if not name_valid:
+            if name is None:
                 reject_reason = f"unsafe or invalid name {name_bytes!r}"
             elif crc != _CRC.unpack(crc_field)[0]:
                 reject_reason = f"checksum mismatch for {name!r}"

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -383,6 +385,42 @@ def test_out_gets_a_new_files_mode(tmp_path, carrier_wav, keyed_env, capsys):
     capsys.readouterr()
 
 
+def _as_unprivileged_user(argv: list[str]) -> list[str]:
+    # root ignores file modes; with every capability dropped it obeys them
+    if os.geteuid() != 0:
+        return argv
+    setpriv = shutil.which("setpriv")
+    if setpriv is None:
+        pytest.skip("running as root without setpriv to drop capabilities")
+    return [setpriv, "--bounding-set=-all", "--inh-caps=-all", *argv]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="drops capabilities with setpriv")
+def test_read_only_out_is_patched_and_keeps_its_mode(tmp_path, carrier_wav):
+    message = tmp_path / "m.txt"
+    message.write_bytes(b"onto a read-only file")
+    stego_path, deleted, read_only = (tmp_path / name for name in ("s.wav", "d.wav", "ro.wav"))
+    read_only.write_bytes(b"old")
+    read_only.chmod(0o444)
+
+    def stegostream(*argv):
+        return subprocess.run(_as_unprivileged_user([sys.executable, "-m", "stegostream", *argv]),
+                              env=_child_env(), capture_output=True, timeout=60)
+
+    for out in (stego_path, read_only):  # an existing read-only --out
+        run = stegostream("embed", "--carrier", str(carrier_wav), "--message", str(message),
+                          "--out", str(out), "--key-env", "CHILD_KEY")
+        assert (run.returncode, run.stderr) == (0, b"")
+    assert read_only.read_bytes() == stego_path.read_bytes()
+    for carrier, out in ((stego_path, deleted), (read_only, read_only)):  # in place
+        run = stegostream("delete", "--carrier", str(carrier), "--out", str(out))
+        assert (run.returncode, run.stderr) == (0, b"")
+    assert read_only.read_bytes() == deleted.read_bytes() != stego_path.read_bytes()
+    assert stat.S_IMODE(read_only.stat().st_mode) == 0o444
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "carrier.wav", "d.wav", "m.txt", "ro.wav", "s.wav"]
+
+
 def test_symlinked_out_is_written_through(tmp_path, carrier_wav, keyed_env, capsys):
     message = tmp_path / "m.txt"
     message.write_bytes(b"through the link")
@@ -538,6 +576,30 @@ def test_send_recv_through_cli(tmp_path, capsys):
                       str(payload)])
     assert rc == 0
     assert "bytes_sent=" in capsys.readouterr().out
+    assert (inbox / "ship.wav").read_bytes() == payload.read_bytes()
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="sends SIGINT")
+def test_recv_child_stores_a_file_and_exits_zero_on_ctrl_c(tmp_path):
+    from stegostream.transfer import send_file
+
+    payload = tmp_path / "ship.wav"
+    payload.write_bytes(random.Random(5).randbytes(70_000))
+    inbox = tmp_path / "inbox"
+    child = subprocess.Popen([sys.executable, "-u", "-m", "stegostream", "recv", "--port", "0",
+                              "--out", str(inbox)],
+                             env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             bufsize=0)  # readline takes no more than its line from the pipe
+    try:
+        first = child.stdout.readline()
+        assert first.startswith(b"listening_port=")
+        send_file("127.0.0.1", int(first.split(b"=")[1]), payload)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=5)
+    finally:
+        child.kill()
+        child.communicate()
+    assert (child.returncode, out, err) == (0, b"out_dir=" + os.fsencode(inbox) + b"\n", b"")
     assert (inbox / "ship.wav").read_bytes() == payload.read_bytes()
 
 

@@ -13,6 +13,8 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegostream.errors import ConnectFailed, RemoteRejected, TransferIoError
 from stegostream.transfer import (
@@ -236,6 +238,54 @@ def test_stop_is_bounded_with_idle_peers(tmp_path):
         assert time.monotonic() - started < 3
         assert not server._workers
     assert list((tmp_path / "inbox").iterdir()) == []
+
+
+@st.composite
+def _mutated_frames(draw):
+    """A valid frame with up to three byte flips, cuts or insertions."""
+    name = draw(st.text("ab.-_\u00e9", min_size=1, max_size=12).filter(lambda n: n[0] != "."))
+    frame = bytearray(encode_frame(name, draw(st.binary(max_size=64))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(frame)))
+        edit = draw(st.sampled_from(["flip", "cut", "insert"]))
+        if edit == "flip" and at < len(frame):
+            frame[at] ^= draw(st.integers(1, 255))
+        elif edit == "cut":
+            del frame[at:]
+        elif edit == "insert":
+            frame[at:at] = draw(st.binary(min_size=1, max_size=4))
+    return bytes(frame)
+
+
+def _framed_body(blob: bytes) -> tuple[bytes, bytes]:
+    """The body and checksum field that `blob` declares, read as a frame."""
+    (name_len,) = struct.unpack_from(">H", blob, 4)
+    (body_len,) = struct.unpack_from(">Q", blob, 6 + name_len)
+    start = 6 + name_len + 8
+    return blob[start : start + body_len], blob[start + body_len : start + body_len + 4]
+
+
+def test_receiver_answers_any_bytes_in_one_of_three_ways(tmp_path):
+    # one receiver serves every example; each gets an ack with the matching
+    # inbox change, or a close that leaves the inbox as it was
+    inbox = tmp_path / "inbox"
+    with FileReceiver(0, inbox) as server:
+        @settings(max_examples=100, deadline=None)
+        @given(st.one_of(st.binary(max_size=80), _mutated_frames()))
+        def check(blob):
+            before = set(inbox.iterdir())
+            ack = _raw_exchange(server.port, blob)
+            added = set(inbox.iterdir()) - before
+            assert not any(p.name.startswith(".incoming-") for p in inbox.iterdir())
+            assert ack in (ACK_OK, ACK_REJECTED, b"")
+            if ack == ACK_OK:
+                body, crc = _framed_body(blob)
+                assert struct.unpack(">I", crc)[0] == zlib.crc32(body)
+                assert [p.read_bytes() for p in added] == [body]
+            else:
+                assert added == set()
+
+        check()
 
 
 def test_frame_in_tiny_sends_is_stored(receiver):
