@@ -59,6 +59,11 @@ def _passphrase(args) -> str:
         raise EmptyPassphrase("no passphrase: standard input is closed") from None
 
 
+def _emit(**fields):
+    """Print each field as a `key=value` line, all in one flushed write."""
+    print("".join(f"{key}={value}\n" for key, value in fields.items()), end="", flush=True)
+
+
 def _require_regular_files(args):
     """Refuse a carrier or WAV path that is not a regular file before anything
     opens it: a FIFO blocks in open(), and a device like /dev/zero never ends."""
@@ -112,9 +117,7 @@ def _cmd_embed(args) -> int:
         payload = seal(message, stego.code_for_extension(message_path.suffix), _passphrase(args))
         del message  # the ciphertext is all embed needs
         stego.embed(carrier, payload, mode)
-    print(f"mode={mode.value}")
-    print(f"message_bytes={payload.declared_size}")
-    print(f"out={args.out}")
+    _emit(mode=mode.value, message_bytes=payload.declared_size, out=args.out)
     return 0
 
 
@@ -127,19 +130,15 @@ def _cmd_extract(args) -> int:
         tmp.write(plaintext)
         tmp.flush()
         out_path = transfer.claim_name(tmp.name, out_dir, Path(args.carrier).stem, f".{extension}")
-    print(f"extension={extension}")
-    print(f"message_bytes={len(plaintext)}")
-    print(f"out={out_path}")
+    _emit(extension=extension, message_bytes=len(plaintext), out=out_path)
     return 0
 
 
 def _cmd_delete(args) -> int:
-    # the passphrase is not verifiable; take it from the env when offered,
-    # but never prompt for a value nothing will check
-    key = os.environ.get(args.key_env, "") if args.key_env else ""
+    # nothing can verify a passphrase here, so --key-env is accepted but never read
     with _patched_copy(args.carrier, args.out, args.header_size) as carrier:
-        stego.delete_message(carrier, key)
-    print(f"out={args.out}")
+        stego.delete_message(carrier)
+    _emit(out=args.out)
     return 0
 
 
@@ -147,18 +146,16 @@ def _cmd_inspect(args) -> int:
     with container.open_carrier(args.carrier, args.header_size, write=False) as carrier:
         mode, type_code, declared = stego.inspect_carrier(carrier)
         plausible = 1 <= declared <= stego.capacity(carrier, mode)
-    print(f"mode={mode.value}")
-    print(f"file_type_code={type_code:#04x}")
-    print(f"extension={stego.extension_for_code(type_code)}")
-    print(f"declared_size={declared}")
-    print(f"plausible={'yes' if plausible else 'no'}")
+    _emit(mode=mode.value, file_type_code=f"{type_code:#04x}",
+          extension=stego.extension_for_code(type_code), declared_size=declared,
+          plausible="yes" if plausible else "no")
     return 0
 
 
 def _cmd_capacity(args) -> int:
     with container.open_carrier(args.carrier, args.header_size, write=False) as carrier:
-        for mode in stego.StegoMode:
-            print(f"{mode.value}_capacity_bytes={stego.capacity(carrier, mode)}")
+        _emit(**{f"{mode.value}_capacity_bytes": stego.capacity(carrier, mode)
+                 for mode in stego.StegoMode})
     return 0
 
 
@@ -176,9 +173,7 @@ def _cmd_snr(args) -> int:
         seg_snr_db, frames_used = quality.mean_snr(
             container.samples_16(original), container.samples_16(modified), frame_len
         )
-    print(f"seg_snr_db={seg_snr_db:.6f}")
-    print(f"frames_used={frames_used}")
-    print(f"frame_len={frame_len}")
+    _emit(seg_snr_db=f"{seg_snr_db:.6f}", frames_used=frames_used, frame_len=frame_len)
     return 0
 
 
@@ -192,15 +187,14 @@ def _cmd_compare(args) -> int:
 
 def _cmd_send(args) -> int:
     sent = transfer.send_file(args.host, args.port, args.file)
-    print(f"bytes_sent={sent}")
+    _emit(bytes_sent=sent)
     return 0
 
 
 def _cmd_recv(args) -> int:
     with transfer.FileReceiver(args.port, args.out) as receiver, \
             contextlib.suppress(KeyboardInterrupt):
-        print(f"listening_port={receiver.port}")
-        print(f"out_dir={args.out}")
+        _emit(listening_port=receiver.port, out_dir=args.out)
         threading.Event().wait()  # until Ctrl-C
     return 0
 

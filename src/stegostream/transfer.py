@@ -9,8 +9,8 @@ Wire format (big-endian lengths):
     body      bytes    file content
     checksum  u32      CRC-32 of the payload
 
-`_HEAD`, `_BODY_LEN` and `_CRC` are this layout's single statement: the
-sender packs with them and the receiver unpacks with them.
+`MAGIC`, `_NAME_LEN`, `_BODY_LEN` and `_CRC` are this layout's single
+statement: the sender packs with them and the receiver unpacks with them.
 
 The receiver streams the payload to a temporary file, links it into
 place only after the checksum verifies, and answers one acknowledgment
@@ -51,7 +51,7 @@ MAX_NAME_BYTES = 255
 _CHUNK = 64 * 1024
 _CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f]")  # Unicode category Cc
 DEFAULT_TIMEOUT = 30.0
-_HEAD = struct.Struct(">4sH")  # magic, name_len
+_NAME_LEN = struct.Struct(">H")
 _BODY_LEN = struct.Struct(">Q")
 _CRC = struct.Struct(">I")
 
@@ -61,8 +61,8 @@ def encode_frame(name: str, payload: bytes) -> bytes:
     name_bytes = name.encode("utf-8")
     if _wire_name(name_bytes) is None:
         raise ValueError(f"invalid transfer file name: {name!r}")
-    return b"".join((_HEAD.pack(MAGIC, len(name_bytes)), name_bytes, _BODY_LEN.pack(len(payload)),
-                     payload, _CRC.pack(zlib.crc32(payload))))
+    return b"".join((MAGIC, _NAME_LEN.pack(len(name_bytes)), name_bytes,
+                     _BODY_LEN.pack(len(payload)), payload, _CRC.pack(zlib.crc32(payload))))
 
 
 def _wire_name(name_bytes: bytes) -> str | None:
@@ -165,13 +165,11 @@ class FileReceiver:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._workers: dict[threading.Thread, socket.socket] = {}
         self._accept_thread = threading.Thread(target=self._serve_forever, daemon=True)
-        self._closing = False
+        self._stopping = threading.Event()
         try:
             self._listener = socket.create_server((host, port))
         except OSError as exc:
             raise BindFailed(f"cannot listen on {host}:{port}: {exc}") from exc
-        # closing a socket does not reliably wake a blocked accept(); poll
-        self._listener.settimeout(0.2)
         self.port = self._listener.getsockname()[1]
 
     def __enter__(self):
@@ -184,11 +182,12 @@ class FileReceiver:
     def stop(self):
         """Stop accepting, cut the open connections short and wait for the
         threads, 5 s at most in all."""
-        self._closing = True
-        with contextlib.suppress(OSError):
-            self._listener.close()
+        self._stopping.set()
         deadline = time.monotonic() + 5
+        with contextlib.suppress(OSError):  # on Linux a blocked accept() fails at once
+            self._listener.shutdown(socket.SHUT_RDWR)
         self._accept_thread.join(timeout=5)
+        self._listener.close()
         for conn in list(self._workers.values()):
             with contextlib.suppress(OSError):  # a worker waiting on a silent peer reads EOF
                 conn.shutdown(socket.SHUT_RDWR)
@@ -196,19 +195,25 @@ class FileReceiver:
             worker.join(max(0.0, deadline - time.monotonic()))
 
     def _serve_forever(self):
-        while not self._closing:
+        """Accept until stop(): a failed accept() is retried, and a thread
+        that cannot start costs only its connection."""
+        while True:
             try:
                 conn, addr = self._listener.accept()
-            except socket.timeout:
+            except OSError as exc:
+                if self._stopping.wait(0.1):  # also paces retries while descriptors run out
+                    return
+                log.warning("accept failed: %s", exc)
                 continue
-            except OSError:
-                if not self._closing:
-                    log.warning("listener closed unexpectedly")
-                return
             conn.settimeout(DEFAULT_TIMEOUT)
             worker = threading.Thread(target=self._run_connection, args=(conn, addr), daemon=True)
             self._workers[worker] = conn
-            worker.start()
+            try:
+                worker.start()
+            except RuntimeError as exc:
+                del self._workers[worker]
+                conn.close()
+                log.warning("dropping connection from %s: %s", addr, exc)
 
     def _run_connection(self, conn: socket.socket, addr):
         try:
@@ -226,7 +231,7 @@ class FileReceiver:
         if magic != MAGIC:
             log.warning("dropping connection from %s: bad magic %r", addr, magic)
             return
-        _, name_len = _HEAD.unpack(magic + _recv_exact(conn, _HEAD.size - len(MAGIC)))
+        (name_len,) = _NAME_LEN.unpack(_recv_exact(conn, _NAME_LEN.size))
         rest = _recv_exact(conn, name_len + _BODY_LEN.size)
         name_bytes = rest[:name_len]
         name = _wire_name(name_bytes)

@@ -1,6 +1,7 @@
 import struct
 
 import pytest
+from hypothesis import strategies as st
 
 
 def build_wav(data: bytes, *, sample_rate=44100, channels=1, bits_per_sample=16,
@@ -28,6 +29,21 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
     if len(payload) % 2:
         out += b"\x00"
     return out
+
+
+def mutated(draw, blob: bytes) -> bytes:
+    """`blob` with up to three byte flips, cuts or insertions, drawn with `draw`."""
+    blob = bytearray(blob)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(blob)))
+        edit = draw(st.sampled_from(["flip", "cut", "insert"]))
+        if edit == "flip" and at < len(blob):
+            blob[at] ^= draw(st.integers(1, 255))
+        elif edit == "cut":
+            del blob[at:]
+        elif edit == "insert":
+            blob[at:at] = draw(st.binary(min_size=1, max_size=4))
+    return bytes(blob)
 
 
 def pcm16_bytes(samples) -> bytes:

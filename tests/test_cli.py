@@ -1,24 +1,32 @@
 import builtins
+import contextlib
 import io
 import json
 import os
 import random
+import re
+import select
 import shutil
 import signal
 import stat
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegostream import cli, container, stego
 from stegostream.cipher import SealedPayload
 from stegostream.container import parse_carrier
 from stegostream.errors import StegoStreamError
 from stegostream.stego import StegoMode, capacity, inspect_carrier
+from stegostream.transfer import FileReceiver
 
-from conftest import build_wav, pcm16_bytes
+from conftest import build_wav, mutated, pcm16_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -566,8 +574,6 @@ def test_unequal_sample_counts_are_a_length_mismatch(tmp_path, carrier_wav, caps
 
 
 def test_send_recv_through_cli(tmp_path, capsys):
-    from stegostream.transfer import FileReceiver
-
     payload = tmp_path / "ship.wav"
     payload.write_bytes(bytes(random.Random(4).randrange(256) for _ in range(5000)))
     inbox = tmp_path / "inbox"
@@ -586,7 +592,7 @@ def test_recv_child_stores_a_file_and_exits_zero_on_ctrl_c(tmp_path):
     payload = tmp_path / "ship.wav"
     payload.write_bytes(random.Random(5).randbytes(70_000))
     inbox = tmp_path / "inbox"
-    child = subprocess.Popen([sys.executable, "-u", "-m", "stegostream", "recv", "--port", "0",
+    child = subprocess.Popen([sys.executable, "-m", "stegostream", "recv", "--port", "0",
                               "--out", str(inbox)],
                              env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                              bufsize=0)  # readline takes no more than its line from the pipe
@@ -601,6 +607,148 @@ def test_recv_child_stores_a_file_and_exits_zero_on_ctrl_c(tmp_path):
         child.communicate()
     assert (child.returncode, out, err) == (0, b"out_dir=" + os.fsencode(inbox) + b"\n", b"")
     assert (inbox / "ship.wav").read_bytes() == payload.read_bytes()
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="selects on a pipe")
+def test_recv_announces_itself_on_a_pipe_at_once(tmp_path):
+    # a supervisor reads the port of --port 0 from a pipe, where stdout is
+    # block-buffered unless the program flushes
+    inbox = tmp_path / "inbox"
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    child = subprocess.Popen([sys.executable, "-m", "stegostream", "recv", "--port", "0",
+                              "--out", str(inbox)],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    seen = b""
+    try:
+        deadline = time.monotonic() + 5
+        while seen.count(b"\n") < 2 and select.select(
+                [child.stdout], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            chunk = os.read(child.stdout.fileno(), 4096)
+            if not chunk:
+                break
+            seen += chunk
+        child.send_signal(signal.SIGINT)
+        child.communicate(timeout=5)
+    finally:
+        child.kill()
+        child.communicate()
+    assert re.fullmatch(rb"listening_port=[1-9][0-9]*\nout_dir=" + re.escape(os.fsencode(inbox))
+                        + rb"\n", seen)
+
+
+# argv and the whole stdout of each command, in order, on the inputs of
+# test_every_command_prints_exactly_its_lines
+_PINNED_STDOUT = [
+    (["embed", "--carrier", "{carrier}", "--message", "{note}", "--out", "{regular}",
+      "--key-env", "{key}"],
+     "mode=regular\nmessage_bytes=300\nout={regular}\n"),
+    (["embed", "--carrier", "{carrier}", "--message", "{note}", "--out", "{excessive}",
+      "--mode", "excessive", "--key-env", "{key}"],
+     "mode=excessive\nmessage_bytes=300\nout={excessive}\n"),
+    (["extract", "--carrier", "{excessive}", "--out-dir", "{recovered}", "--key-env", "{key}"],
+     "extension=txt\nmessage_bytes=300\nout={recovered}/excessive.txt\n"),
+    (["inspect", "{regular}"],
+     "mode=regular\nfile_type_code=0x01\nextension=txt\ndeclared_size=300\nplausible=yes\n"),
+    (["inspect", "{carrier}"],
+     "mode=regular\nfile_type_code=0xd4\nextension=bin\ndeclared_size=1371400298\n"
+     "plausible=no\n"),
+    (["capacity", "{carrier}"],
+     "regular_capacity_bytes=1494\nexcessive_capacity_bytes=2994\n"),
+    (["inspect", "{raw}", "--header-size", "77"],
+     "mode=excessive\nfile_type_code=0x17\nextension=bin\ndeclared_size=1456863589\n"
+     "plausible=no\n"),
+    (["capacity", "{raw}", "--header-size", "77"],
+     "regular_capacity_bytes=610\nexcessive_capacity_bytes=1224\n"),
+    (["delete", "--carrier", "{regular}", "--out", "{deleted}"],
+     "out={deleted}\n"),
+    (["send", "--host", "127.0.0.1", "--port", "{port}", "{regular}"],
+     "bytes_sent=12073\n"),  # 4 + 2 + len("regular.wav") + 8 + 12044 + 4
+]
+
+
+def test_every_command_prints_exactly_its_lines(tmp_path, keyed_env, capsys):
+    rng = random.Random(2718)
+    (tmp_path / "carrier.wav").write_bytes(
+        build_wav(pcm16_bytes([rng.randrange(-3000, 3000) for _ in range(6000)])))
+    (tmp_path / "note.txt").write_bytes(rng.randbytes(300))
+    (tmp_path / "raw.bin").write_bytes(rng.randbytes(5001))
+    with FileReceiver(0, tmp_path / "inbox") as server:
+        paths = {name: tmp_path / f"{name}.{suffix}" for name, suffix in [
+            ("carrier", "wav"), ("note", "txt"), ("raw", "bin"), ("regular", "wav"),
+            ("excessive", "wav"), ("deleted", "wav")]}
+        paths.update(recovered=tmp_path / "recovered", key=keyed_env, port=server.port)
+        for argv, expected in _PINNED_STDOUT:
+            assert cli.run([arg.format(**paths) for arg in argv]) == 0
+            assert capsys.readouterr() == (expected.format(**paths), "")
+    assert (tmp_path / "recovered" / "excessive.txt").read_bytes() == paths["note"].read_bytes()
+
+
+@st.composite
+def _carrier_cases(draw):
+    """(original, edited carrier, --header-size or None, message): a 16-bit
+    WAV, or raw bytes with a header size that may exceed them, that may hide
+    a message, and a copy of it with up to three edits."""
+    body = random.Random(draw(st.integers(0, 2**32 - 1))).randbytes(draw(st.integers(0, 6000)))
+    if draw(st.booleans()):
+        trailer = draw(st.lists(st.tuples(st.just(b"LIST"), st.binary(max_size=9)), max_size=1))
+        original = build_wav(body, sample_rate=draw(st.sampled_from([8000, 44100])),
+                             post_data_chunks=trailer)
+        header = None
+    else:
+        original = body
+        header = draw(st.integers(0, len(body) + 8))
+    hidden = draw(st.none() | st.binary(min_size=1, max_size=40))
+    if hidden is not None:
+        with contextlib.suppress(StegoStreamError):  # too small a carrier stays clean
+            original = bytes(stego.embed(parse_carrier(original, header),
+                                         SealedPayload(hidden, 0, len(hidden)),
+                                         draw(st.sampled_from(list(StegoMode)))).data)
+    return original, mutated(draw, original), header, draw(st.binary(max_size=80))
+
+
+_DOCUMENTED_RUN_CODES = {0, 1, 2, 3, 5}
+
+
+def test_cli_run_fails_closed_on_mutated_carriers(tmp_path, keyed_env, capsys):
+    # every carrier command exits with a documented code and raises nothing;
+    # a patched output differs from its input only inside [header_len, body_end)
+    @settings(max_examples=40, deadline=None)
+    @given(_carrier_cases())
+    def check(case):
+        original, edited, header, message = case
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            work = Path(work)
+            for name, blob in [("original.wav", original), ("carrier.wav", edited),
+                               ("message.txt", message)]:
+                (work / name).write_bytes(blob)
+            carrier = str(work / "carrier.wav")
+            key = ["--key-env", keyed_env]
+            with_header = ["--header-size", str(header)] if header is not None else []
+            for argv in [["inspect", carrier], ["capacity", carrier],
+                         ["extract", "--carrier", carrier, "--out-dir", str(work / "x"), *key]]:
+                assert cli.run(argv + with_header) in _DOCUMENTED_RUN_CODES
+            for command in ("compare", "snr"):
+                assert cli.run([command, "--original", str(work / "original.wav"),
+                                "--stego", carrier]) in _DOCUMENTED_RUN_CODES
+            embedded, deleted = work / "embedded.wav", work / "deleted.wav"
+            for out, argv in [
+                (embedded, ["embed", "--carrier", carrier, "--message", str(work / "message.txt"),
+                            "--out", str(embedded), *key]),
+                (deleted, ["delete", "--carrier", carrier, "--out", str(deleted)]),
+            ]:
+                code = cli.run(argv + with_header)
+                assert code in _DOCUMENTED_RUN_CODES
+                assert out.exists() == (code == 0)
+                if code == 0:
+                    bounds = parse_carrier(edited, header)
+                    patched = out.read_bytes()
+                    assert len(patched) == len(edited)
+                    assert patched[: bounds.header_len] == edited[: bounds.header_len]
+                    assert patched[bounds.body_end :] == edited[bounds.body_end :]
+        capsys.readouterr()
+
+    check()
 
 
 def test_send_unreachable_exits_four(tmp_path, capsys):

@@ -4,18 +4,23 @@ import hashlib
 import itertools
 import logging
 import os
+import select
+import signal
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stegostream import transfer
 from stegostream.errors import ConnectFailed, RemoteRejected, TransferIoError
 from stegostream.transfer import (
     ACK_OK,
@@ -25,6 +30,10 @@ from stegostream.transfer import (
     encode_frame,
     send_file,
 )
+
+from conftest import mutated
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -240,21 +249,76 @@ def test_stop_is_bounded_with_idle_peers(tmp_path):
     assert list((tmp_path / "inbox").iterdir()) == []
 
 
+def _limit_descriptors():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_NOFILE, (32, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+
+def _read_line(stream, timeout: float) -> bytes:
+    """One line from an unbuffered child pipe, or b"" when none starts within `timeout`."""
+    return stream.readline() if select.select([stream], [], [], timeout)[0] else b""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="limits the child's descriptors")
+def test_receiver_keeps_accepting_after_descriptors_run_out(tmp_path):
+    # 32 idle peers use up a child limited to 32 descriptors, so accept() fails
+    # with EMFILE until they leave; then the receiver must serve the next file
+    source = tmp_path / "after.wav"
+    source.write_bytes(os.urandom(5000))
+    inbox = tmp_path / "inbox"
+    child = subprocess.Popen([sys.executable, "-m", "stegostream", "recv", "--port", "0",
+                              "--out", str(inbox)],
+                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+                             preexec_fn=_limit_descriptors)
+    try:
+        port = int(_read_line(child.stdout, 5).split(b"=")[1])
+        with contextlib.ExitStack() as peers:
+            for _ in range(32):
+                peers.enter_context(socket.create_connection(("127.0.0.1", port), timeout=5))
+            assert b"accept failed: [Errno 24]" in _read_line(child.stderr, 5)
+        assert send_file("127.0.0.1", port, source, timeout=5) > 0
+        child.send_signal(signal.SIGINT)
+        child.communicate(timeout=5)
+    finally:
+        child.kill()
+        child.communicate()
+    assert child.returncode == 0
+    assert (inbox / "after.wav").read_bytes() == source.read_bytes()
+
+
+def test_a_worker_that_cannot_start_costs_only_its_connection(tmp_path, monkeypatch, caplog):
+    source = tmp_path / "twice.wav"
+    source.write_bytes(os.urandom(5000))
+    inbox = tmp_path / "inbox"
+    refused = []
+
+    class FailsOnce(threading.Thread):
+        def start(self):
+            if not refused:
+                refused.append(self)
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    with FileReceiver(0, inbox) as server:
+        monkeypatch.setattr(transfer.threading, "Thread", FailsOnce)
+        with pytest.raises(TransferIoError):
+            send_file("127.0.0.1", server.port, source, timeout=5)
+        assert list(inbox.iterdir()) == []
+        send_file("127.0.0.1", server.port, source, timeout=5)
+        server.stop()
+        assert not server._workers
+    assert (inbox / "twice.wav").read_bytes() == source.read_bytes()
+    assert any("can't start new thread" in r.getMessage() for r in caplog.records
+               if r.levelno == logging.WARNING)
+
+
 @st.composite
 def _mutated_frames(draw):
     """A valid frame with up to three byte flips, cuts or insertions."""
     name = draw(st.text("ab.-_\u00e9", min_size=1, max_size=12).filter(lambda n: n[0] != "."))
-    frame = bytearray(encode_frame(name, draw(st.binary(max_size=64))))
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(frame)))
-        edit = draw(st.sampled_from(["flip", "cut", "insert"]))
-        if edit == "flip" and at < len(frame):
-            frame[at] ^= draw(st.integers(1, 255))
-        elif edit == "cut":
-            del frame[at:]
-        elif edit == "insert":
-            frame[at:at] = draw(st.binary(min_size=1, max_size=4))
-    return bytes(frame)
+    return mutated(draw, encode_frame(name, draw(st.binary(max_size=64))))
 
 
 def _framed_body(blob: bytes) -> tuple[bytes, bytes]:
