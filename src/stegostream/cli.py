@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import container, quality, stego, transfer
 from .cipher import seal
-from .errors import CapacityExceeded, EmptyPassphrase, StegoStreamError
+from .errors import CapacityExceeded, EmptyPassphrase, FormatMismatch, StegoStreamError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,9 +161,14 @@ def _cmd_capacity(args) -> int:
 
 @contextlib.contextmanager
 def _open_sample_pair(args):
-    """Yield both WAVs of `snr`/`compare`, mapped read-only, and the frame length."""
+    """Yield both WAVs of `snr`/`compare`, mapped read-only, and the frame
+    length; the two must share a sample rate and a channel count."""
     with container.open_carrier(args.original, write=False) as original, \
             container.open_carrier(args.stego, write=False) as modified:
+        formats = [(wav.format.sample_rate, wav.format.channels) for wav in (original, modified)]
+        if formats[0] != formats[1]:
+            raise FormatMismatch("formats differ: {} Hz x {} vs {} Hz x {}".format(
+                *formats[0], *formats[1]))
         yield original, modified, quality.default_frame_len(original.format.sample_rate,
                                                             args.frame_ms)
 

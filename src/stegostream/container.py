@@ -83,15 +83,30 @@ class AudioCarrier:
         leave this process but stay in the page cache with their writes,
         and a later read faults them back in. Returns the bytes dropped.
         """
-        mapped = getattr(self.data, "obj", None)
-        if mapped not in _SHARED_MAPS:
-            return 0
-        low = start - start % mmap.PAGESIZE
-        high = stop - stop % mmap.PAGESIZE
-        if high <= low:
-            return 0
-        mapped.madvise(mmap.MADV_DONTNEED, low, high - low)
-        return high - low
+        return _drop_pages(self.data, start, stop)
+
+
+def _drop_pages(buffer, start: int, stop: int) -> int:
+    """`AudioCarrier.drop_pages` for bytes `start` to `stop` of `buffer`: a
+    `memoryview`, or an array straight over one (its `.base`).
+
+    Acts only on a map in `_SHARED_MAPS`; anything else keeps its pages.
+    """
+    view = buffer.base if isinstance(buffer, np.ndarray) else buffer
+    mapped = getattr(view, "obj", None)
+    if mapped not in _SHARED_MAPS:
+        return 0
+    offset = _address(buffer) - _address(mapped)
+    low = offset + start - (offset + start) % mmap.PAGESIZE
+    high = offset + stop - (offset + stop) % mmap.PAGESIZE
+    if high <= low:
+        return 0
+    mapped.madvise(mmap.MADV_DONTNEED, low, high - low)
+    return high - low
+
+
+def _address(buffer) -> int:
+    return np.asarray(buffer).__array_interface__["data"][0]
 
 
 @contextlib.contextmanager
@@ -114,6 +129,11 @@ def open_carrier(path, raw_header_override: int | None = None, *, write: bool = 
                            access=mmap.ACCESS_WRITE if write else mmap.ACCESS_READ)
     if hasattr(mmap, "MADV_DONTNEED"):
         _SHARED_MAPS.add(mapped)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # a file in 2 MiB folios may be mapped 2 MiB at a time, far more than
+        # a walk keeps; a kernel built without huge pages refuses the advice
+        with contextlib.suppress(OSError):
+            mapped.madvise(mmap.MADV_NOHUGEPAGE)
     view = memoryview(mapped)
     try:
         yield parse_carrier(view, raw_header_override)

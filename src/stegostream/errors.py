@@ -81,6 +81,10 @@ class LengthMismatch(_FormatError):
     """Compared sequences must have equal length."""
 
 
+class FormatMismatch(_FormatError):
+    """Compared WAVs must have one sample rate and one channel count."""
+
+
 class TooShort(_FormatError):
     """Input does not contain a single usable analysis frame."""
 

@@ -13,15 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import AudioCarrier, samples_16
+from .container import AudioCarrier, _drop_pages, samples_16
 from .errors import EmptyInput, LengthMismatch, TooShort
 
 SNR_CAP_DB = 100.0
 DEFAULT_FRAME_MS = 10
-# samples per block: a float64 block plus the window it is correlated
-# with fit in a 2 MiB L2 cache; the plane diff takes the same 1 MiB,
-# 8 bytes per block sample
+# samples per block: every pass walks its inputs a block at a time (a
+# 1 MiB float64 block; the plane diff reads 8 bytes per block sample) and
+# drops the mapped pages behind the walk
 BLOCK_SAMPLES = 1 << 17
+# one matrix product of `_lag_sums` takes at most LAG_CHUNK lags and
+# PRODUCT_SAMPLES samples of one signal: with rows of up to 128 samples
+# its operands and result (0.25 + 0.25 + 0.75 + 0.4 MiB at most) fit a
+# 2 MiB L2 cache, and OpenBLAS packs little of them
+LAG_CHUNK = 256
+PRODUCT_SAMPLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -72,9 +78,8 @@ def frame_snrs(original, modified, frame_len: int) -> list[float]:
         raise TooShort(f"need at least {frame_len} samples, got {a.size}")
     rows = max(1, BLOCK_SAMPLES // frame_len)
     values: list[float] = []
-    for first in range(0, frame_count, rows):
-        count = min(rows, frame_count - first)
-        lo, hi = first * frame_len, (first + count) * frame_len
+    for lo, hi in _blocks(frame_count * frame_len, rows * frame_len, (a, 0), (b, 0)):
+        count = (hi - lo) // frame_len
         frames = a[lo:hi].astype(np.float64).reshape(count, frame_len)
         error = frames - b[lo:hi].astype(np.float64).reshape(count, frame_len)
         signal = np.einsum("ij,ij->i", frames, frames)
@@ -107,10 +112,10 @@ def waveform_compare(a, b, max_lag: int) -> tuple[float, int]:
     overlap. Ties prefer the smaller |lag|, then the negative one. Zero
     total energy on either side yields (0.0, 0).
 
-    Sums are taken block by block (`_lag_dots`), an energy being a
-    signal's lag-0 dot with itself; for 16-bit samples every block dot is
-    an exact integer, so the numerators and energies are those of one
-    whole-signal float64 dot wherever that dot is exact.
+    Sums are taken by matrix products over blocks (`_lag_dots`), an
+    energy being a signal's lag-0 dot with itself; for 16-bit samples
+    every partial sum is an exact integer, so the numerators and energies
+    are those of one whole-signal float64 dot wherever that dot is exact.
     """
     xs = _as_samples(a)
     ys = _as_samples(b)
@@ -134,31 +139,83 @@ def _as_samples(values) -> np.ndarray:
     return values if isinstance(values, np.ndarray) else np.asarray(values, dtype=np.float64)
 
 
+def _blocks(size: int, step: int, *reads):
+    """Yield (start, end) of each block of `step` items from 0 to `size`.
+
+    `reads` are (array, shift) pairs: no block after the one ending at
+    `end` reads `array` below item `end + shift`, so once that block is
+    done the pages of a mapped array below it are dropped (`_drop_pages`).
+    """
+    done = [0] * len(reads)
+    for start in range(0, size, step):
+        end = min(start + step, size)
+        yield start, end
+        for i, (array, shift) in enumerate(reads):
+            frontier = min(max(end + shift, 0), array.size)
+            if frontier > done[i]:
+                _drop_pages(array, done[i] * array.itemsize, frontier * array.itemsize)
+                done[i] = frontier
+
+
 def _lag_dots(xs: np.ndarray, ys: np.ndarray, lags: range) -> list[float | None]:
     """sum(xs[t] * ys[t+lag]) over the overlap for each lag, or None where
     the signals do not overlap.
 
-    Each block of `xs` and the `ys` window it meets at any lag are
-    converted to float64 once, and every lag's dot runs on them while
-    they are in cache. Sums start where `np.dot` does, so a one-sample
-    overlap keeps the sign of a zero product and a longer one does not.
+    A one-sample overlap keeps its bare product, as `np.dot` gives it, so
+    a zero keeps its sign; longer overlaps sum from 0.0 (`_lag_sums`).
     """
-    def initial(lag):
-        overlap = min(xs.size, ys.size - lag) - max(0, -lag)
-        return None if overlap < 1 else -0.0 if overlap == 1 else 0.0
+    def dot(lag, total):
+        t0, t1 = max(0, -lag), min(xs.size, ys.size - lag)
+        if t1 - t0 == 1:
+            return float(xs[t0]) * float(ys[t0 + lag])
+        return None if t1 <= t0 else float(total)
 
-    dots = [initial(lag) for lag in lags]
-    for start in range(0, xs.size, BLOCK_SAMPLES):
-        end = min(start + BLOCK_SAMPLES, xs.size)
-        lo, hi = max(0, start + lags.start), min(ys.size, end + lags.stop - 1)
-        x_block = xs[start:end].astype(np.float64)
-        y_window = ys[lo:hi].astype(np.float64)
-        for i, lag in enumerate(lags):
-            t0, t1 = max(start, -lag), min(end, ys.size - lag)
-            if t1 > t0:
-                dots[i] += float(np.dot(x_block[t0 - start : t1 - start],
-                                        y_window[t0 + lag - lo : t1 + lag - lo]))
-    return dots
+    return [dot(lag, total) for lag, total in zip(lags, _lag_sums(xs, ys, lags))]
+
+
+def _lag_sums(xs: np.ndarray, ys: np.ndarray, lags: range) -> np.ndarray:
+    """sum(xs[t] * ys[t+lag]) for each lag, `ys` read as zero outside the
+    signal, by matrix products; the array may run past the last lag.
+
+    `xs` is walked block by block, each block in pieces of at most
+    `PRODUCT_SAMPLES`, and the lags in chunks of at most `LAG_CHUNK`. For
+    a chunk of K lags from lag L on, and Q the power of two no smaller
+    than K, up to 128: the piece from sample s on, as rows of Q samples,
+    is X (X[r, j] = xs[s + r*Q + j]); the `ys` window from s + L on, as
+    rows of Q+K-1 samples that start Q apart, is Z (Z[r, m] =
+    ys[s + L + r*Q + m]). So (Xᵀ·Z)[j, j+k] sums the lag L+k terms of the
+    samples s + r*Q + j, and its k-th diagonal sums all the piece's lag
+    L+k terms. The scratch is made once per call and reused.
+    """
+    chunks = range(0, len(lags), LAG_CHUNK)
+    k = min(len(lags), LAG_CHUNK)
+    q = min(1 << (k - 1).bit_length(), 128)
+    rows = -(-min(PRODUCT_SAMPLES, BLOCK_SAMPLES, xs.size) // q)
+    x, window = np.empty((rows, q)), np.empty(rows * q + k - 1)
+    z, c = np.empty((rows, q + k - 1)), np.empty((q, q + k - 1))
+    x_flat = x.reshape(-1)
+    windows = np.lib.stride_tricks.sliding_window_view
+    z_rows = windows(window, q + k - 1)[::q]  # row r: window[r*q : r*q + q+k-1]
+    diagonals = windows(c, k, axis=1).diagonal()  # [k, j]: c[j, j+k]
+    totals = np.zeros(len(chunks) * k)
+    for start, end in _blocks(xs.size, BLOCK_SAMPLES, (xs, 0), (ys, lags.start)):
+        for lo in range(start, end, rows * q):
+            n = min(rows * q, end - lo)
+            p = -(-n // q)
+            x_flat[:n] = xs[lo : lo + n]
+            x_flat[n : p * q] = 0
+            for first in chunks:
+                y0 = lo + lags[first]
+                y1, y2 = max(y0, 0), min(y0 + p * q + k - 1, ys.size)
+                if y2 <= y1:
+                    continue
+                window[: y1 - y0] = 0
+                window[y1 - y0 : y2 - y0] = ys[y1:y2]
+                window[y2 - y0 : p * q + k - 1] = 0
+                np.copyto(z[:p], z_rows[:p])
+                np.matmul(x[:p].T, z[:p], out=c)
+                totals[first : first + k] += diagonals.sum(axis=1)
+    return totals
 
 
 def bitplane_diff(before, after) -> tuple[int, int, int]:
@@ -171,9 +228,8 @@ def bitplane_diff(before, after) -> tuple[int, int, int]:
     if xs.size != ys.size:
         raise LengthMismatch(f"byte counts differ: {xs.size} vs {ys.size}")
     plane0 = plane1 = other = 0
-    step = BLOCK_SAMPLES * 8
-    for start in range(0, xs.size, step):
-        delta = xs[start : start + step] ^ ys[start : start + step]
+    for start, end in _blocks(xs.size, BLOCK_SAMPLES * 8, (xs, 0), (ys, 0)):
+        delta = xs[start:end] ^ ys[start:end]
         plane0 += int(np.count_nonzero(delta & 0x01))
         plane1 += int(np.count_nonzero(delta & 0x02))
         other += int(np.count_nonzero(delta & 0xFC))

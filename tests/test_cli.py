@@ -516,6 +516,17 @@ def test_snr_identical_files_hits_cap(carrier_wav, capsys):
     assert "seg_snr_db=100.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["snr", "compare"])
+def test_snr_and_compare_refuse_a_pair_of_two_formats(command, tmp_path, capsys):
+    # the same sample bytes under two headers: only the formats differ
+    data = pcm16_bytes(random.Random(31).choices(range(-3000, 3000), k=4000))
+    (tmp_path / "a.wav").write_bytes(build_wav(data))
+    (tmp_path / "b.wav").write_bytes(build_wav(data, sample_rate=8000, channels=2))
+    assert cli.run([command, "--original", str(tmp_path / "a.wav"),
+                    "--stego", str(tmp_path / "b.wav")]) == 3
+    assert capsys.readouterr() == ("", "error: formats differ: 44100 Hz x 1 vs 8000 Hz x 2\n")
+
+
 def _reading_commands(original, modified):
     """argv of each command that only reads carrier files."""
     return [["compare", "--original", str(original), "--stego", str(modified)],
@@ -771,7 +782,7 @@ _DOCUMENTED_EXIT_CODES = {
     "EmptyPassphrase": 1, "EmptyMessage": 1, "InvalidTransferName": 1,
     "CapacityExceeded": 2, "MessageTooLarge": 2,
     "MalformedRiff": 3, "UnknownFormat": 3, "HeaderExceedsFile": 3, "UnsupportedDepth": 3,
-    "LengthMismatch": 3, "TooShort": 3, "EmptyInput": 3,
+    "LengthMismatch": 3, "FormatMismatch": 3, "TooShort": 3, "EmptyInput": 3,
     "ConnectFailed": 4, "RemoteRejected": 4, "TransferIoError": 4, "BindFailed": 4,
     "SizeImplausible": 5, "CarrierTooSmall": 5,
 }
@@ -891,3 +902,17 @@ def test_embed_and_delete_memory_follows_the_window_not_the_carrier(tmp_path):
                                 str(tmp_path / "s.wav"), "--out", str(tmp_path / "d.wav"))
     assert embed_peak - floor <= 12
     assert delete_peak - floor <= 12
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="pages are dropped with Linux's madvise")
+def test_compare_and_snr_memory_follows_the_block_not_the_files(tmp_path):
+    # every page of both 16 MiB files is read by each quality pass
+    rng = random.Random(11)
+    original = rng.randbytes(16 << 20)
+    modified = bytes(byte ^ rng.getrandbits(2) for byte in original[:1 << 16]) + original[1 << 16:]
+    (tmp_path / "c.wav").write_bytes(build_wav(original))
+    (tmp_path / "s.wav").write_bytes(build_wav(modified))
+    pair = ["--original", str(tmp_path / "c.wav"), "--stego", str(tmp_path / "s.wav")]
+    floor = _peak_rss_mib(tmp_path, "-c", "import stegostream.cli")
+    for command in ("compare", "snr"):
+        assert _peak_rss_mib(tmp_path, "-m", "stegostream", command, *pair) - floor <= 12

@@ -1,5 +1,7 @@
 import math
+import mmap
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from stegostream import quality
 from stegostream.cipher import SealedPayload
-from stegostream.container import parse_carrier, samples_16
+from stegostream.container import open_carrier, parse_carrier, samples_16
 from stegostream.errors import EmptyInput, LengthMismatch, TooShort
 from stegostream.quality import (
     SNR_CAP_DB,
@@ -178,6 +180,54 @@ def test_blocked_waveform_compare_matches_reference_loop(a, b, max_lag, block):
     assert repr(got) == repr(_reference_waveform_compare(a, b, max_lag))
 
 
+def _lag_dots_oracle(xs, ys, lags):
+    """One `np.dot` per lag over the whole overlap, None without one."""
+    dots = []
+    for lag in lags:
+        t0, t1 = max(0, -lag), min(xs.size, ys.size - lag)
+        dots.append(float(np.dot(xs[t0:t1].astype(np.float64), ys[t0 + lag : t1 + lag].astype(np.float64)))
+                    if t1 > t0 else None)
+    return dots
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=300, max_value=5000), st.integers(min_value=300, max_value=5000),
+       st.integers(min_value=0, max_value=5200), st.sampled_from([64, 100, 128, 1000, 4096]),
+       st.sampled_from([128, 1 << 15]), st.booleans(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_lag_products_match_one_dot_per_lag_at_the_edges(size_a, size_b, max_lag, block, piece,
+                                                          edges_only, seed):
+    # blocks that are and are not multiples of the row width, pieces within
+    # a block, lags past both ends; with only its edges kept, `b` puts the
+    # peak on a lag whose overlap is a sample or two
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-32768, 32768, size_a, dtype=np.int16)
+    b = rng.integers(-32768, 32768, size_b, dtype=np.int16)
+    if edges_only:
+        b[2:-2] = 0
+    lags = range(-min(max_lag, a.size), min(max_lag, b.size) + 1)
+    with mock.patch.object(quality, "BLOCK_SAMPLES", block), \
+            mock.patch.object(quality, "PRODUCT_SAMPLES", piece):
+        dots = quality._lag_dots(a, b, lags)
+        got = waveform_compare(a, b, max_lag)
+    assert repr(dots) == repr(_lag_dots_oracle(a, b, lags))
+    assert repr(got) == repr(_reference_waveform_compare(a, b, max_lag))
+
+
+def test_lag_product_scratch_does_not_grow_with_the_lag_count():
+    rng = np.random.default_rng(8)
+    a = rng.integers(-32768, 32768, 8192, dtype=np.int16)
+    b = rng.integers(-32768, 32768, 8192, dtype=np.int16)
+    peaks = {}
+    for max_lag in (64, 4096):
+        tracemalloc.start()
+        try:
+            waveform_compare(a, b, max_lag)
+            peaks[max_lag] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] <= 2 * peaks[64]
+
+
 @settings(max_examples=100)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=60),
        st.sampled_from([1, 3, 7]))
@@ -263,3 +313,37 @@ def test_report_lines_format():
     assert "modified_bytes_plane1=3" in lines
     assert lines[-1] == "modified_bytes_other_planes=0"
     assert QualityReport(13.5, 4, 0.999, -2, 10, 3, 7).lines()[-1] == "modified_bytes_other_planes=7"
+
+
+def _multi_page_pairs(rng):
+    """(original, modified) WAV bytes a few pages long: mono with an odd data
+    chunk and a chunk after it, and stereo; flips reach planes 0, 1 and 7."""
+    page = mmap.PAGESIZE
+    for size, channels, after in [(3 * page + 77, 1, [(b"cue ", b"c" * 9)]), (3 * page + 1234, 2, [])]:
+        data = rng.randbytes(size)
+        modified = bytes(byte ^ rng.choice((0, 0, 1, 2, 3, 0x80)) for byte in data)
+        yield tuple(build_wav(blob, channels=channels, post_data_chunks=after)
+                    for blob in (data, modified))
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 4097])
+def test_dropping_pages_changes_no_report(tmp_path, monkeypatch, block):
+    # blocks of 1, 3 and 7 samples end mid-page and mid-frame
+    monkeypatch.setattr(quality, "BLOCK_SAMPLES", block)
+    dropped = []
+    drop_pages = quality._drop_pages
+
+    def spy(buffer, start, stop):
+        dropped.append(drop_pages(buffer, start, stop))
+        return dropped[-1]
+
+    monkeypatch.setattr(quality, "_drop_pages", spy)
+    for original, modified in _multi_page_pairs(random.Random(block)):
+        expected = quality.report(parse_carrier(original), parse_carrier(modified), 50, 20)
+        (tmp_path / "c.wav").write_bytes(original)
+        (tmp_path / "s.wav").write_bytes(modified)
+        dropped.clear()
+        with open_carrier(tmp_path / "c.wav", write=False) as a, \
+                open_carrier(tmp_path / "s.wav", write=False) as b:
+            assert quality.report(a, b, 50, 20) == expected
+        assert sum(dropped) >= mmap.PAGESIZE
