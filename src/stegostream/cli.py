@@ -64,13 +64,18 @@ def _emit(**fields):
     print("".join(f"{key}={value}\n" for key, value in fields.items()), end="", flush=True)
 
 
-def _require_regular_files(args):
-    """Refuse a carrier or WAV path that is not a regular file before anything
-    opens it: a FIFO blocks in open(), and a device like /dev/zero never ends."""
-    for name in ("carrier", "original", "stego"):
+def _refuse_special_files(args):
+    """Refuse a carrier or WAV path that is not a regular file, and a file to
+    send that is neither a regular file nor a FIFO, before anything opens it:
+    a FIFO blocks a carrier's open(), and a device like /dev/zero never ends."""
+    for name in ("carrier", "original", "stego", "file"):
         path = getattr(args, name, None)
-        if path is not None and not stat.S_ISREG(os.stat(path).st_mode):
-            raise shutil.SpecialFileError(f"{path} is not a regular file")
+        if path is None:
+            continue
+        mode = os.stat(path).st_mode
+        if not (stat.S_ISREG(mode) or name == "file" and stat.S_ISFIFO(mode)):
+            kind = "a regular file or a FIFO" if name == "file" else "a regular file"
+            raise shutil.SpecialFileError(f"{path} is not {kind}")
 
 
 @contextlib.contextmanager
@@ -288,7 +293,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _require_regular_files(args)
+        _refuse_special_files(args)
         return args.func(args)
     except (StegoStreamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

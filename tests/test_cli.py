@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from stegostream.cipher import SealedPayload
 from stegostream.container import parse_carrier
 from stegostream.errors import StegoStreamError
 from stegostream.stego import StegoMode, capacity, inspect_carrier
-from stegostream.transfer import FileReceiver
+from stegostream.transfer import FileReceiver, encode_frame
 
 from conftest import build_wav, mutated, pcm16_bytes
 
@@ -872,6 +873,36 @@ def test_carrier_and_wav_paths_must_be_regular_files(argv, tmp_path, carrier_wav
     assert (run.returncode, run.stdout) == (1, b"")
     assert run.stderr == f"error: {special} is not a regular file\n".encode()
     assert sorted(tmp_path.iterdir()) == sorted([fifo, carrier_wav, message])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/zero")
+def test_send_refuses_a_device_before_reading_it():
+    # /dev/zero used to be read until memory ran out; the child's is capped
+    run = subprocess.run([sys.executable, "-m", "stegostream", "send", "--host", "127.0.0.1",
+                          "--port", "1", "/dev/zero"],
+                         env=_child_env(), capture_output=True, timeout=30,
+                         preexec_fn=_limit_child)
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr == b"error: /dev/zero is not a regular file or a FIFO\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs mkfifo")
+def test_send_reads_a_fifo_to_its_end(tmp_path, capsys):
+    fifo = tmp_path / "piped.wav"
+    os.mkfifo(fifo)
+    payload = random.Random(8).randbytes(3 * 1024 * 1024)  # a pipe never takes sendfile
+    writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+    writer.start()
+    try:
+        with FileReceiver(0, tmp_path / "inbox") as server:
+            rc = cli.run(["send", "--host", "127.0.0.1", "--port", str(server.port), str(fifo)])
+    finally:
+        if writer.is_alive():  # the send never opened the pipe: let the writer fail
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(5)
+    assert rc == 0
+    assert capsys.readouterr().out == f"bytes_sent={len(encode_frame('piped.wav', payload))}\n"
+    assert (tmp_path / "inbox" / "piped.wav").read_bytes() == payload
 
 
 def _peak_rss_mib(tmp_path, *command: str) -> float:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import logging
 import os
+import random
 import select
 import signal
 import socket
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -21,7 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stegostream import transfer
-from stegostream.errors import ConnectFailed, RemoteRejected, TransferIoError
+from stegostream.errors import (
+    ConnectFailed,
+    InvalidTransferName,
+    RemoteRejected,
+    TransferIoError,
+)
 from stegostream.transfer import (
     ACK_OK,
     ACK_REJECTED,
@@ -47,6 +54,10 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _random_bytes(count: int, seed: int) -> bytes:
+    return random.Random(seed).randbytes(count)
+
+
 _DROPPED = (errno.ECONNRESET, errno.EPIPE, errno.ENOTCONN)
 
 
@@ -65,15 +76,125 @@ def _raw_exchange(port, blob):
             return b""
 
 
-def test_single_transfer_byte_identical(receiver, tmp_path):
+# one byte past the in-memory frame's limit goes out through sendfile
+_SIZES = [64 * 1024, 1024 * 1024, 1024 * 1024 + 1, 3 * 1024 * 1024]
+_SIZE_IDS = ["64KiB", "1MiB", "1MiB+1", "3MiB"]
+
+
+@pytest.mark.parametrize("size", _SIZES, ids=_SIZE_IDS)
+def test_single_transfer_byte_identical(receiver, tmp_path, size):
     server, inbox = receiver
     source = tmp_path / "song.wav"
-    source.write_bytes(os.urandom(1024 * 1024))
+    source.write_bytes(_random_bytes(size, seed=size))
     sent = send_file("127.0.0.1", server.port, source)
     stored = inbox / "song.wav"
     assert stored.exists()
     assert _digest(stored) == _digest(source)
     assert sent == len(encode_frame("song.wav", source.read_bytes()))
+
+
+def _listen_once(expected: int):
+    """A peer for one connection: it reads at most `expected` bytes into a
+    buffer allocated here, answers ACK_OK once all of them arrived, and gives
+    up on a sender silent for 5 s. Returns its port and a function that
+    waits for it and returns the bytes it read before the end of the frame
+    or the sender's close."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    buffer = memoryview(bytearray(expected))
+    received = []
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            at = 0
+            while at < expected:
+                count = conn.recv_into(buffer[at:])
+                if not count:
+                    break
+                at += count
+            if at == expected:
+                conn.sendall(ACK_OK)
+            received.append(at)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+
+    def result() -> bytes:
+        thread.join(10)
+        assert received, "the peer was still waiting for the frame"
+        return bytes(buffer[: received[0]])
+
+    return listener.getsockname()[1], result
+
+
+@pytest.mark.parametrize("size", _SIZES, ids=_SIZE_IDS)
+def test_wire_bytes_are_encode_frames_for_any_size(tmp_path, size):
+    source = tmp_path / "pinned.wav"
+    source.write_bytes(_random_bytes(size, seed=size + 1))
+    frame = encode_frame("pinned.wav", source.read_bytes())
+    port, result = _listen_once(len(frame))
+    assert send_file("127.0.0.1", port, source) == len(frame)
+    assert result() == frame
+
+
+def _forbid_connecting(monkeypatch):
+    def connect(*args, **kwargs):
+        raise AssertionError("send_file connected")
+
+    monkeypatch.setattr(transfer.socket, "create_connection", connect)
+
+
+@pytest.mark.parametrize("name", [".hidden.wav", "tab\there.wav", os.fsdecode(b"\xff.wav")],
+                         ids=["leading-dot", "control", "not-utf8"])
+def test_large_file_with_hostile_name_is_refused_before_connecting(tmp_path, monkeypatch, name):
+    source = tmp_path / name
+    source.write_bytes(bytes(2 * 1024 * 1024))
+    _forbid_connecting(monkeypatch)
+    with pytest.raises(InvalidTransferName):
+        send_file("127.0.0.1", 1, source)
+
+
+def test_short_sendfile_raises_and_ends_the_peers_wait(tmp_path, monkeypatch):
+    # a file that shrinks under sendfile: the frame header has promised more
+    source = tmp_path / "shrinks.wav"
+    source.write_bytes(_random_bytes(2 * 1024 * 1024, seed=3))
+    frame = encode_frame("shrinks.wav", source.read_bytes())
+    sendfile = socket.socket.sendfile
+    monkeypatch.setattr(socket.socket, "sendfile",
+                        lambda self, file, offset=0, count=None:
+                        sendfile(self, file, offset, count - 1000))
+    port, result = _listen_once(len(frame))
+    with pytest.raises(TransferIoError):
+        send_file("127.0.0.1", port, source)
+    assert result() == frame[: len(frame) - 4 - 1000]
+
+
+def test_file_shorter_than_its_size_raises_before_connecting(tmp_path, monkeypatch):
+    # a file cut between fstat and the CRC pass may not spin that pass forever
+    source = tmp_path / "cut.wav"
+    source.write_bytes(bytes(2 * 1024 * 1024))
+    fields = list(os.stat(source))
+    fields[6] += 1  # st_size
+    monkeypatch.setattr(transfer.os, "fstat", lambda fd: os.stat_result(fields))
+    _forbid_connecting(monkeypatch)
+    with pytest.raises(TransferIoError, match="shrank"):
+        send_file("127.0.0.1", 1, source)
+
+
+def test_large_send_holds_no_copy_of_the_file(tmp_path):
+    source = tmp_path / "big.wav"
+    source.write_bytes(_random_bytes(8 * 1024 * 1024, seed=4))
+    port, result = _listen_once(len(encode_frame("big.wav", source.read_bytes())))
+    tracemalloc.start()
+    try:
+        send_file("127.0.0.1", port, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result()
+    assert peak < 4 * 1024 * 1024
 
 
 def test_eight_concurrent_transfers(receiver, tmp_path):
@@ -181,6 +302,24 @@ def test_traversal_name_rejected(receiver):
     assert _raw_exchange(server.port, _raw_frame(b"../escape.wav", b"data")) == ACK_REJECTED
     assert list(inbox.iterdir()) == []
     assert not (inbox.parent / "escape.wav").exists()
+
+
+def test_refused_name_body_is_drained_without_a_temp_file(receiver, monkeypatch):
+    server, inbox = receiver
+    opened = []
+    named_temporary_file = transfer.tempfile.NamedTemporaryFile
+
+    def spy(*args, **kwargs):
+        opened.append(kwargs)
+        return named_temporary_file(*args, **kwargs)
+
+    monkeypatch.setattr(transfer.tempfile, "NamedTemporaryFile", spy)
+    body = _random_bytes(600 * 1024, seed=6)  # more than one receive buffer
+    assert _raw_exchange(server.port, _raw_frame(b"../escape.wav", body)) == ACK_REJECTED
+    assert opened == []
+    assert _raw_exchange(server.port, _raw_frame(b"fine.wav", body)) == ACK_OK
+    assert len(opened) == 1
+    assert [p.read_bytes() for p in inbox.iterdir()] == [body]
 
 
 def test_overlong_name_rejected(receiver):
