@@ -75,22 +75,33 @@ class AudioCarrier:
         """
         return self.format.data_offset + self.format.data_len
 
-    def drop_pages(self, start: int, stop: int) -> int:
-        """Drop the pages from the one holding `start` to the last one ending by `stop`.
 
-        The caller is done with every byte below `stop`. Only a carrier
-        mapped by `open_carrier` is touched: its map is shared, so the pages
-        leave this process but stay in the page cache with their writes,
-        and a later read faults them back in. Returns the bytes dropped.
-        """
-        return _drop_pages(self.data, start, stop)
+def _walk(size: int, step: int, *reads):
+    """Yield (start, end) of each block of `step` items from 0 to `size`.
+
+    `reads` are (array, frontier) pairs: once the block ending at `end` is
+    done, no later block reads `array` below item `frontier(end)`, so the
+    pages of a mapped array below that item are dropped (`_drop_pages`).
+    """
+    done = [0] * len(reads)
+    for start in range(0, size, step):
+        end = min(start + step, size)
+        yield start, end
+        for i, (array, frontier) in enumerate(reads):
+            item = min(max(frontier(end), 0), array.size)
+            if item > done[i]:
+                _drop_pages(array, done[i] * array.itemsize, item * array.itemsize)
+                done[i] = item
 
 
 def _drop_pages(buffer, start: int, stop: int) -> int:
-    """`AudioCarrier.drop_pages` for bytes `start` to `stop` of `buffer`: a
-    `memoryview`, or an array straight over one (its `.base`).
+    """Drop the pages of `buffer` from the one holding byte `start` to the
+    last one ending by byte `stop`; returns the bytes dropped.
 
-    Acts only on a map in `_SHARED_MAPS`; anything else keeps its pages.
+    `buffer` is a `memoryview` or an array straight over one (its `.base`).
+    Only a map in `_SHARED_MAPS` is touched: its pages leave this process
+    but stay in the page cache with their writes, and a later read faults
+    them back in. Anything else keeps its pages.
     """
     view = buffer.base if isinstance(buffer, np.ndarray) else buffer
     mapped = getattr(view, "obj", None)
@@ -115,11 +126,11 @@ def open_carrier(path, raw_header_override: int | None = None, *, write: bool = 
 
     Yields the `parse_carrier` of a `memoryview` of a shared `mmap` of
     the file, so only the pages touched are read, and pages done with
-    can be dropped again (`AudioCarrier.drop_pages`). By default the view
-    is writable and writes to it change the file; with `write=False` the
-    file is opened read-only (a mode-0444 file will do) and so is the
-    view. The view is released when the block ends, or, while an
-    exception's traceback still holds arrays over it, when they are freed.
+    can be dropped again (`_walk`). By default the view is writable and
+    writes to it change the file; with `write=False` the file is opened
+    read-only (a mode-0444 file will do) and so is the view. The view is
+    released when the block ends, or, while an exception's traceback
+    still holds arrays over it, when they are freed.
     """
     with open(path, "r+b" if write else "rb") as file:
         if os.fstat(file.fileno()).st_size == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import AudioCarrier, _drop_pages, samples_16
+from .container import AudioCarrier, _walk, samples_16
 from .errors import EmptyInput, LengthMismatch, TooShort
 
 SNR_CAP_DB = 100.0
@@ -78,7 +78,8 @@ def frame_snrs(original, modified, frame_len: int) -> list[float]:
         raise TooShort(f"need at least {frame_len} samples, got {a.size}")
     rows = max(1, BLOCK_SAMPLES // frame_len)
     values: list[float] = []
-    for lo, hi in _blocks(frame_count * frame_len, rows * frame_len, (a, 0), (b, 0)):
+    for lo, hi in _walk(frame_count * frame_len, rows * frame_len,
+                        (a, _block_end), (b, _block_end)):
         count = (hi - lo) // frame_len
         frames = a[lo:hi].astype(np.float64).reshape(count, frame_len)
         error = frames - b[lo:hi].astype(np.float64).reshape(count, frame_len)
@@ -139,22 +140,10 @@ def _as_samples(values) -> np.ndarray:
     return values if isinstance(values, np.ndarray) else np.asarray(values, dtype=np.float64)
 
 
-def _blocks(size: int, step: int, *reads):
-    """Yield (start, end) of each block of `step` items from 0 to `size`.
-
-    `reads` are (array, shift) pairs: no block after the one ending at
-    `end` reads `array` below item `end + shift`, so once that block is
-    done the pages of a mapped array below it are dropped (`_drop_pages`).
-    """
-    done = [0] * len(reads)
-    for start in range(0, size, step):
-        end = min(start + step, size)
-        yield start, end
-        for i, (array, shift) in enumerate(reads):
-            frontier = min(max(end + shift, 0), array.size)
-            if frontier > done[i]:
-                _drop_pages(array, done[i] * array.itemsize, frontier * array.itemsize)
-                done[i] = frontier
+def _block_end(end: int) -> int:
+    """The frontier of an input read in step with the walk: once a block
+    is done, nothing below its end is read again."""
+    return end
 
 
 def _lag_dots(xs: np.ndarray, ys: np.ndarray, lags: range) -> list[float | None]:
@@ -198,7 +187,8 @@ def _lag_sums(xs: np.ndarray, ys: np.ndarray, lags: range) -> np.ndarray:
     z_rows = windows(window, q + k - 1)[::q]  # row r: window[r*q : r*q + q+k-1]
     diagonals = windows(c, k, axis=1).diagonal()  # [k, j]: c[j, j+k]
     totals = np.zeros(len(chunks) * k)
-    for start, end in _blocks(xs.size, BLOCK_SAMPLES, (xs, 0), (ys, lags.start)):
+    for start, end in _walk(xs.size, BLOCK_SAMPLES,
+                            (xs, _block_end), (ys, lambda end: end + lags.start)):
         for lo in range(start, end, rows * q):
             n = min(rows * q, end - lo)
             p = -(-n // q)
@@ -228,7 +218,7 @@ def bitplane_diff(before, after) -> tuple[int, int, int]:
     if xs.size != ys.size:
         raise LengthMismatch(f"byte counts differ: {xs.size} vs {ys.size}")
     plane0 = plane1 = other = 0
-    for start, end in _blocks(xs.size, BLOCK_SAMPLES * 8, (xs, 0), (ys, 0)):
+    for start, end in _walk(xs.size, BLOCK_SAMPLES * 8, (xs, _block_end), (ys, _block_end)):
         delta = xs[start:end] ^ ys[start:end]
         plane0 += int(np.count_nonzero(delta & 0x01))
         plane1 += int(np.count_nonzero(delta & 0x02))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cipher import MAX_MESSAGE_BYTES, SealedPayload, unseal
-from .container import AudioCarrier
+from .container import AudioCarrier, _walk
 from .errors import CapacityExceeded, CarrierTooSmall, SizeImplausible
 
 PLANE_LSB = 0
@@ -204,21 +204,19 @@ def _chunks(carrier: AudioCarrier, lanes: list[Lane], skip: int = 0):
     walked in lockstep: chunk i of every lane, then chunk i+1. The head
     and tail lanes cover one carrier span, so each page is touched in one
     round, and after each round the pages below every unfinished lane's
-    next byte are dropped (`AudioCarrier.drop_pages`).
+    next byte are dropped (`_walk`).
     """
     arr = np.frombuffer(carrier.data, dtype=np.uint8)
     starts = list(itertools.accumulate((lane.count for lane in lanes), initial=skip))
-    done = 0
-    for i in range(0, max(lane.count for lane in lanes), _CHUNK_BITS):
+
+    def frontier(end):
+        return min((lane.start + lane.stride * end for lane in lanes if end < lane.count),
+                   default=0)
+
+    for i, end in _walk(max(lane.count for lane in lanes), _CHUNK_BITS, (arr, frontier)):
         for lane, start in zip(lanes, starts):
             if i < lane.count:
-                yield lane.view(arr)[i : i + _CHUNK_BITS], lane.plane, start + i
-        following = i + _CHUNK_BITS
-        frontier = min((lane.start + lane.stride * following
-                        for lane in lanes if following < lane.count), default=0)
-        if frontier > done:
-            carrier.drop_pages(done, frontier)
-            done = frontier
+                yield lane.view(arr)[i:end], lane.plane, start + i
 
 
 def _write_lanes(carrier: AudioCarrier, lanes: list[Lane], data: bytes, skip: int = 0):

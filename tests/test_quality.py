@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stegostream import quality
+from stegostream import container, quality
 from stegostream.cipher import SealedPayload
 from stegostream.container import open_carrier, parse_carrier, samples_16
 from stegostream.errors import EmptyInput, LengthMismatch, TooShort
@@ -331,13 +331,13 @@ def test_dropping_pages_changes_no_report(tmp_path, monkeypatch, block):
     # blocks of 1, 3 and 7 samples end mid-page and mid-frame
     monkeypatch.setattr(quality, "BLOCK_SAMPLES", block)
     dropped = []
-    drop_pages = quality._drop_pages
+    drop_pages = container._drop_pages
 
     def spy(buffer, start, stop):
         dropped.append(drop_pages(buffer, start, stop))
         return dropped[-1]
 
-    monkeypatch.setattr(quality, "_drop_pages", spy)
+    monkeypatch.setattr(container, "_drop_pages", spy)
     for original, modified in _multi_page_pairs(random.Random(block)):
         expected = quality.report(parse_carrier(original), parse_carrier(modified), 50, 20)
         (tmp_path / "c.wav").write_bytes(original)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stegostream import container
 from stegostream import stego as stego_module
 from stegostream.cipher import SealedPayload, seal
-from stegostream.container import AudioCarrier, open_carrier, parse_carrier
+from stegostream.container import open_carrier, parse_carrier
 from stegostream.errors import CapacityExceeded, CarrierTooSmall, SizeImplausible
 from stegostream.stego import (
     StegoMode,
@@ -451,13 +452,13 @@ def test_dropping_pages_keeps_in_place_equal_to_copy(tmp_path, monkeypatch, chun
     # small chunks end inside lanes and pages, so pages are dropped mid-lane
     monkeypatch.setattr(stego_module, "_CHUNK_BITS", chunk_bits)
     dropped = []
-    drop_pages = AudioCarrier.drop_pages
+    drop_pages = container._drop_pages
 
-    def spy(carrier, start, stop):
-        dropped.append(drop_pages(carrier, start, stop))
+    def spy(buffer, start, stop):
+        dropped.append(drop_pages(buffer, start, stop))
         return dropped[-1]
 
-    monkeypatch.setattr(AudioCarrier, "drop_pages", spy)
+    monkeypatch.setattr(container, "_drop_pages", spy)
 
     def patch(file_bytes, header, operation):
         dropped.clear()
