@@ -65,16 +65,19 @@ def _emit(**fields):
 
 
 def _refuse_special_files(args):
-    """Refuse a carrier or WAV path that is not a regular file, and a file to
-    send that is neither a regular file nor a FIFO, before anything opens it:
-    a FIFO blocks a carrier's open(), and a device like /dev/zero never ends."""
-    for name in ("carrier", "original", "stego", "file"):
+    """Refuse, before anything opens it, a carrier or WAV path that is not a
+    regular file, a message or a file to send that is neither a regular file
+    nor a FIFO, and an existing `--out` of embed or delete that is not a
+    regular file: a FIFO blocks a carrier's open(), a device like /dev/zero
+    never ends, and renaming the patched copy onto a node replaces it."""
+    for name in ("carrier", "original", "stego", "message", "file", "out"):
         path = getattr(args, name, None)
-        if path is None:
+        if path is None or name == "out" and not os.path.exists(path):
             continue
         mode = os.stat(path).st_mode
-        if not (stat.S_ISREG(mode) or name == "file" and stat.S_ISFIFO(mode)):
-            kind = "a regular file or a FIFO" if name == "file" else "a regular file"
+        piped = name in ("message", "file")
+        if not (stat.S_ISREG(mode) or piped and stat.S_ISFIFO(mode)):
+            kind = "a regular file or a FIFO" if piped else "a regular file"
             raise shutil.SpecialFileError(f"{path} is not {kind}")
 
 
@@ -202,9 +205,9 @@ def _cmd_send(args) -> int:
 
 
 def _cmd_recv(args) -> int:
-    with transfer.FileReceiver(args.port, args.out) as receiver, \
+    with transfer.FileReceiver(args.port, args.out_dir) as receiver, \
             contextlib.suppress(KeyboardInterrupt):
-        _emit(listening_port=receiver.port, out_dir=args.out)
+        _emit(listening_port=receiver.port, out_dir=args.out_dir)
         threading.Event().wait()  # until Ctrl-C
     return 0
 
@@ -279,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recv", help="receive files until interrupted")
     p.add_argument("--port", type=_int_in(0, 65535), required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="out_dir", required=True)
     p.set_defaults(func=_cmd_recv)
 
     return parser

@@ -64,8 +64,8 @@ def frame_snrs(original, modified, frame_len: int) -> list[float]:
     Frames with zero signal energy are skipped; frames with zero
     distortion contribute the cap value. Trailing samples that do not
     fill a frame are ignored. Frames are converted to float64 a block of
-    whole frames at a time; each frame's value does not depend on the
-    block it falls in.
+    whole frames at a time, into two blocks of rows made once per call;
+    each frame's value does not depend on the block it falls in.
     """
     a = _as_samples(original)
     b = _as_samples(modified)
@@ -76,13 +76,15 @@ def frame_snrs(original, modified, frame_len: int) -> list[float]:
     frame_count = a.size // frame_len
     if frame_count == 0:
         raise TooShort(f"need at least {frame_len} samples, got {a.size}")
-    rows = max(1, BLOCK_SAMPLES // frame_len)
+    rows = min(max(1, BLOCK_SAMPLES // frame_len), frame_count)
+    original_rows, error_rows = np.empty((2, rows, frame_len))
     values: list[float] = []
     for lo, hi in _walk(frame_count * frame_len, rows * frame_len,
                         (a, _block_end), (b, _block_end)):
         count = (hi - lo) // frame_len
-        frames = a[lo:hi].astype(np.float64).reshape(count, frame_len)
-        error = frames - b[lo:hi].astype(np.float64).reshape(count, frame_len)
+        frames, error = original_rows[:count], error_rows[:count]
+        np.copyto(frames, a[lo:hi].reshape(count, frame_len))
+        np.subtract(frames, b[lo:hi].reshape(count, frame_len), out=error)
         signal = np.einsum("ij,ij->i", frames, frames)
         distortion = np.einsum("ij,ij->i", error, error)
         audible = signal != 0

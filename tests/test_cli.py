@@ -857,10 +857,15 @@ def _limit_child():
     ["embed", "--carrier", "/dev/zero", "--message", "{message}", "--out", "{out}",
      "--key-env", "CHILD_KEY"],
     ["delete", "--carrier", "/dev/zero", "--out", "{out}"],
+    ["embed", "--carrier", "{wav}", "--message", "{message}", "--out", "{fifo}",
+     "--key-env", "CHILD_KEY"],
+    ["delete", "--carrier", "{wav}", "--out", "{fifo}"],
 ], ids=["inspect-fifo", "capacity-fifo", "snr-fifo", "compare-fifo", "extract-fifo",
-        "extract-zero", "embed-fifo", "embed-zero", "delete-zero"])
+        "extract-zero", "embed-fifo", "embed-zero", "delete-zero", "embed-out-fifo",
+        "delete-out-fifo"])
 def test_carrier_and_wav_paths_must_be_regular_files(argv, tmp_path, carrier_wav):
-    # opened, a FIFO blocks and /dev/zero never ends, so neither may be opened at all
+    # opened, a FIFO blocks and /dev/zero never ends, so neither may be opened
+    # at all; an --out FIFO would be replaced by a regular file
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     message = tmp_path / "m.txt"
@@ -873,17 +878,24 @@ def test_carrier_and_wav_paths_must_be_regular_files(argv, tmp_path, carrier_wav
     assert (run.returncode, run.stdout) == (1, b"")
     assert run.stderr == f"error: {special} is not a regular file\n".encode()
     assert sorted(tmp_path.iterdir()) == sorted([fifo, carrier_wav, message])
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/zero")
-def test_send_refuses_a_device_before_reading_it():
+@pytest.mark.parametrize("argv", [
+    ["send", "--host", "127.0.0.1", "--port", "1", "/dev/zero"],
+    ["embed", "--carrier", "{wav}", "--message", "/dev/zero", "--out", "{out}",
+     "--key-env", "CHILD_KEY"],
+], ids=["send-file", "embed-message"])
+def test_refuses_a_device_before_reading_it(argv, tmp_path, carrier_wav):
     # /dev/zero used to be read until memory ran out; the child's is capped
-    run = subprocess.run([sys.executable, "-m", "stegostream", "send", "--host", "127.0.0.1",
-                          "--port", "1", "/dev/zero"],
+    argv = [arg.format(wav=carrier_wav, out=tmp_path / "out") for arg in argv]
+    run = subprocess.run([sys.executable, "-m", "stegostream", *argv],
                          env=_child_env(), capture_output=True, timeout=30,
                          preexec_fn=_limit_child)
     assert (run.returncode, run.stdout) == (1, b"")
     assert run.stderr == b"error: /dev/zero is not a regular file or a FIFO\n"
+    assert list(tmp_path.iterdir()) == [carrier_wav]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs mkfifo")
@@ -903,6 +915,25 @@ def test_send_reads_a_fifo_to_its_end(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == f"bytes_sent={len(encode_frame('piped.wav', payload))}\n"
     assert (tmp_path / "inbox" / "piped.wav").read_bytes() == payload
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs mkfifo")
+def test_embed_reads_a_message_fifo(tmp_path, carrier_wav, keyed_env):
+    fifo = tmp_path / "piped.txt"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"through a pipe",), daemon=True)
+    writer.start()
+    try:
+        rc = cli.run(["embed", "--carrier", str(carrier_wav), "--message", str(fifo),
+                      "--key-env", keyed_env, "--out", str(tmp_path / "stego.wav")])
+    finally:
+        if writer.is_alive():  # the embed never opened the pipe: let the writer fail
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(5)
+    assert rc == 0
+    assert cli.run(["extract", "--carrier", str(tmp_path / "stego.wav"), "--key-env", keyed_env,
+                    "--out-dir", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "r" / "stego.txt").read_bytes() == b"through a pipe"
 
 
 def _peak_rss_mib(tmp_path, *command: str) -> float:

@@ -1,11 +1,15 @@
+import itertools
+import mmap
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stegostream import container
 from stegostream.container import (
     CarrierKind,
     open_carrier,
@@ -229,3 +233,67 @@ def test_parse_carrier_fails_closed_and_alike_on_a_memoryview(case):
         assert (viewed.header_len, viewed.body_end, viewed.format) == (
             carrier.header_len, carrier.body_end, carrier.format)
         assert bytes(carrier.data) == data == bytes(viewed.data)
+
+
+
+@st.composite
+def _walks(draw):
+    """(file length, walk size, step, reads): a read is an item type, a byte
+    offset into the file and one frontier per block, rising, at times from
+    below 0 or on past the end of the array."""
+    length = draw(st.integers(mmap.PAGESIZE, 4 * mmap.PAGESIZE))
+    size = draw(st.integers(0, length + 50))
+    step = draw(st.integers(max(1, size // 40), size + 10))
+    blocks = -(-size // step)
+    reads = []
+    for _ in range(draw(st.integers(1, 2))):
+        rises = draw(st.lists(st.integers(0, 2 * step), min_size=blocks, max_size=blocks))
+        first = draw(st.integers(-2 * step, 2 * step))
+        reads.append((draw(st.sampled_from(["u1", "<i2"])), 2 * draw(st.integers(0, 300)),
+                      list(itertools.accumulate(rises, initial=first))[1:]))
+    return length, size, step, reads
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="pages are dropped with madvise")
+@settings(max_examples=200, deadline=None)
+@given(_walks())
+def test_walk_drops_pages_once_and_only_behind_each_frontier(tmp_path_factory, case):
+    length, size, step, reads = case
+    data = random.Random(length).randbytes(length)
+    path = tmp_path_factory.getbasetemp() / "walk.bin"
+    path.write_bytes(data)
+    expected = [(start, min(start + step, size)) for start in range(0, size, step)]
+    block_of = {end: k for k, (_, end) in enumerate(expected)}
+    blocks, calls = [], []  # calls: (read, block just finished, start, stop, bytes dropped)
+    drop_pages = container._drop_pages
+
+    def spy(buffer, start, stop):
+        read = next(i for i, array in enumerate(arrays) if array is buffer)
+        calls.append((read, len(blocks) - 1, start, stop, drop_pages(buffer, start, stop)))
+        return calls[-1][-1]
+
+    with open_carrier(path, 0, write=False) as carrier, \
+            mock.patch.object(container, "_drop_pages", spy):
+        arrays = [np.frombuffer(carrier.data, dtype, (length - offset) // np.dtype(dtype).itemsize,
+                                offset) for dtype, offset, _ in reads]
+        frontiers = [lambda end, rising=rising: rising[block_of[end]] for _, _, rising in reads]
+        for block in container._walk(size, step, *zip(arrays, frontiers)):
+            blocks.append(block)
+        assert bytes(carrier.data) == data  # a dropped page reads back from the file
+        sizes = [array.size for array in arrays]
+        del arrays
+    assert blocks == expected
+    page = mmap.PAGESIZE
+    for read, (dtype, offset, rising) in enumerate(reads):
+        itemsize = np.dtype(dtype).itemsize
+        mine = [call[1:] for call in calls if call[0] == read]
+        done = 0
+        for block, start, stop, _ in mine:
+            assert done <= start < stop  # disjoint and rising
+            assert stop <= min(max(rising[block], 0), sizes[read]) * itemsize
+            done = stop
+        # everything below the last frontier went, and only whole pages go
+        last = min(max(rising[-1], 0), sizes[read]) * itemsize if rising else 0
+        assert done == last
+        pages = (offset + last) // page - offset // page if last else 0
+        assert sum(dropped for *_, dropped in mine) == pages * page

@@ -242,6 +242,28 @@ def test_blocked_frame_snrs_equal_one_block(seed, frame_len, block):
     assert blocked == frame_snrs(original, modified, frame_len)
 
 
+def _frame_snrs_peak(samples, frame_len):
+    rng = np.random.default_rng(9)
+    original = rng.integers(-32768, 32768, samples, dtype=np.int16)
+    modified = original ^ rng.integers(0, 4, samples, dtype=np.int16)
+    tracemalloc.start()
+    try:
+        values = frame_snrs(original, modified, frame_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == samples // frame_len
+    return peak
+
+
+def test_frame_snrs_makes_its_blocks_once():
+    # a float64 copy of each signal and their difference, made per block,
+    # peaked at about 4 MiB; two blocks of rows made once take 2 MiB
+    assert _frame_snrs_peak(1 << 20, 441) <= 2.5 * (1 << 20)
+    # a pair shorter than a block gets only the rows it has
+    assert _frame_snrs_peak(4410, 441) <= 128 << 10
+
+
 def test_blocked_lengths_still_mismatch():
     with mock.patch.object(quality, "BLOCK_SAMPLES", 3):
         with pytest.raises(LengthMismatch, match="sample counts differ: 10 vs 11"):
