@@ -19,16 +19,19 @@ to garbage instead of failing. Use one passphrase per message.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from .container import _walk
 from .errors import EmptyMessage, EmptyPassphrase, MessageTooLarge
 
 _KEY_DOMAIN = b"stegostream-key:"
 _NONCE_DOMAIN = b"stegostream-nonce:"
 
 MAX_MESSAGE_BYTES = 0xFFFFFFFF  # declared size must fit the 32-bit field
+_PIECE_BYTES = 1024 * 1024  # `_ctr_xor` encrypts this much at a time
 
 
 @dataclass(frozen=True)
@@ -64,20 +67,40 @@ def encrypt_block(key: bytes, block: bytes) -> bytes:
     return encryptor.update(block) + encryptor.finalize()
 
 
-def _ctr_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """XOR `data` with the counter-mode keystream; the counter is the low 64 bits."""
-    # blocks left before the low half wraps to zero
+def _ctr_xor(key: bytes, nonce: bytes, data) -> bytes:
+    """XOR `data` with the counter-mode keystream; the counter is the low 64 bits.
+
+    `data` is walked in pieces of `_PIECE_BYTES` (`container._walk`), so
+    a mapped input drops its pages behind the walk, and each piece is
+    encrypted into one output buffer. The result is that buffer itself as
+    `bytes`: `getvalue()` hands it over uncopied once no view of it is
+    left, and the last piece's 15 spare bytes are cut off first.
+    """
+    # bytes before the low half wraps to zero
     split = 16 * (2**64 - int.from_bytes(nonce[8:16], "big"))
+    first = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
+    wrapped = Cipher(algorithms.AES(key), modes.CTR(nonce[:8] + bytes(8))).encryptor()
     view = memoryview(data)
-    out = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor().update(view[:split])
-    if len(view) > split:
-        wrapped = Cipher(algorithms.AES(key), modes.CTR(nonce[:8] + bytes(8))).encryptor()
-        out += wrapped.update(view[split:])
-    return out
+    size = len(view)
+    out = io.BytesIO()
+    out.seek(size + 14)  # update_into wants room for its input plus 15 bytes
+    out.write(b"\0")
+    with out.getbuffer() as target:
+        for start, end in _walk(size, _PIECE_BYTES, (view, lambda end: end)):
+            cut = min(max(split, start), end)  # a piece may straddle the wrap
+            for encryptor, lo, hi in ((first, start, cut), (wrapped, cut, end)):
+                if lo < hi:
+                    encryptor.update_into(view[lo:hi], target[lo:hi + 15])
+    out.truncate(size)
+    return out.getvalue()
 
 
 def seal(plaintext: bytes, file_type_code: int, passphrase: str) -> SealedPayload:
-    """Encrypt a message; the ciphertext has exactly the plaintext's length."""
+    """Encrypt a message; the ciphertext has exactly the plaintext's length.
+
+    `plaintext` may be any flat byte buffer, such as a `memoryview` of a
+    mapped file, whose pages are dropped as they are sealed.
+    """
     if len(plaintext) == 0:
         raise EmptyMessage("cannot seal an empty message")
     if len(plaintext) > MAX_MESSAGE_BYTES:

@@ -22,6 +22,8 @@ from . import container, quality, stego, transfer
 from .cipher import seal
 from .errors import CapacityExceeded, EmptyPassphrase, FormatMismatch, StegoStreamError
 
+_COPY_BYTES = 256 * 1024  # the most of the message `embed` reads at a time
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; this tool reserves 2 for capacity
@@ -110,20 +112,47 @@ def _choose_mode(carrier, message_len: int, requested: str | None) -> stego.Steg
     for mode in stego.StegoMode:  # REGULAR first
         if message_len <= stego.capacity(carrier, mode):
             return mode
-    raise CapacityExceeded(
-        f"message of {message_len} bytes fits neither mode: "
+    raise _fits_neither(carrier, f"{message_len} bytes")
+
+
+def _fits_neither(carrier, size: str) -> CapacityExceeded:
+    return CapacityExceeded(
+        f"message of {size} fits neither mode: "
         f"regular capacity {stego.capacity(carrier, stego.StegoMode.REGULAR)} bytes, "
         f"excessive capacity {stego.capacity(carrier, stego.StegoMode.EXCESSIVE)} bytes"
     )
 
 
+@contextlib.contextmanager
+def _message_copy(path, carrier, out):
+    """Yield a read-only `memoryview` of a copy of the message file, mapped.
+
+    The copy is read in pieces into an unnamed temporary file next to
+    `out`: a FIFO is read the same way as a regular file, nothing another
+    process does to the message can fault the map, and no crash leaves
+    the copy behind. Reading stops one byte past the larger of the
+    carrier's two capacities, which raises CapacityExceeded.
+    """
+    limit = max(stego.capacity(carrier, mode) for mode in stego.StegoMode)
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.realpath(out))) as copy:
+        copied = 0
+        with open(path, "rb", buffering=0) as source:
+            while copied <= limit and (piece := source.read(min(_COPY_BYTES, limit + 1 - copied))):
+                copy.write(piece)
+                copied += len(piece)
+        if copied > limit:
+            raise _fits_neither(carrier, f"more than {limit} bytes")
+        copy.flush()
+        with container._mapped(copy.fileno()) as view:
+            yield view
+
+
 def _cmd_embed(args) -> int:
-    message_path = Path(args.message)
     with _patched_copy(args.carrier, args.out, args.header_size) as carrier:
-        message = message_path.read_bytes()
-        mode = _choose_mode(carrier, len(message), args.mode)
-        payload = seal(message, stego.code_for_extension(message_path.suffix), _passphrase(args))
-        del message  # the ciphertext is all embed needs
+        with _message_copy(args.message, carrier, args.out) as message:
+            mode = _choose_mode(carrier, len(message), args.mode)
+            payload = seal(message, stego.code_for_extension(Path(args.message).suffix),
+                           _passphrase(args))
         stego.embed(carrier, payload, mode)
     _emit(mode=mode.value, message_bytes=payload.declared_size, out=args.out)
     return 0

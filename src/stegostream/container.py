@@ -26,7 +26,7 @@ WAVE_TAG = b"WAVE"
 FMT_TAG = b"fmt "
 DATA_TAG = b"data"
 
-# the shared maps `open_carrier` made: only on these does dropping pages
+# the shared maps `_mapped` made: only on these does dropping pages
 # keep the data (a private map would lose its writes)
 _SHARED_MAPS = weakref.WeakSet()
 
@@ -79,16 +79,17 @@ class AudioCarrier:
 def _walk(size: int, step: int, *reads):
     """Yield (start, end) of each block of `step` items from 0 to `size`.
 
-    `reads` are (array, frontier) pairs: once the block ending at `end` is
-    done, no later block reads `array` below item `frontier(end)`, so the
-    pages of a mapped array below that item are dropped (`_drop_pages`).
+    `reads` are (array, frontier) pairs, each array a flat buffer (an
+    `ndarray` or a `memoryview`): once the block ending at `end` is done,
+    no later block reads `array` below item `frontier(end)`, so the pages
+    of a mapped array below that item are dropped (`_drop_pages`).
     """
     done = [0] * len(reads)
     for start in range(0, size, step):
         end = min(start + step, size)
         yield start, end
         for i, (array, frontier) in enumerate(reads):
-            item = min(max(frontier(end), 0), array.size)
+            item = min(max(frontier(end), 0), len(array))
             if item > done[i]:
                 _drop_pages(array, done[i] * array.itemsize, item * array.itemsize)
                 done[i] = item
@@ -121,23 +122,18 @@ def _address(buffer) -> int:
 
 
 @contextlib.contextmanager
-def open_carrier(path, raw_header_override: int | None = None, *, write: bool = True):
-    """Parse a carrier file in place, for patching or reading it.
-
-    Yields the `parse_carrier` of a `memoryview` of a shared `mmap` of
-    the file, so only the pages touched are read, and pages done with
-    can be dropped again (`_walk`). By default the view is writable and
-    writes to it change the file; with `write=False` the file is opened
-    read-only (a mode-0444 file will do) and so is the view. The view is
+def _mapped(fileno: int, *, write: bool = False):
+    """Yield a `memoryview` of a shared `mmap` of the open file `fileno`,
+    writable with `write` and read-only otherwise, so only the pages
+    touched are read, and pages done with can be dropped again (`_walk`).
+    An empty file, which mmap refuses, yields an empty view. The view is
     released when the block ends, or, while an exception's traceback
     still holds arrays over it, when they are freed.
     """
-    with open(path, "r+b" if write else "rb") as file:
-        if os.fstat(file.fileno()).st_size == 0:
-            # mmap refuses an empty file; no carrier is empty, so this raises
-            parse_carrier(b"", raw_header_override)
-        mapped = mmap.mmap(file.fileno(), 0,
-                           access=mmap.ACCESS_WRITE if write else mmap.ACCESS_READ)
+    if os.fstat(fileno).st_size == 0:
+        yield memoryview(b"")
+        return
+    mapped = mmap.mmap(fileno, 0, access=mmap.ACCESS_WRITE if write else mmap.ACCESS_READ)
     if hasattr(mmap, "MADV_DONTNEED"):
         _SHARED_MAPS.add(mapped)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
@@ -147,11 +143,25 @@ def open_carrier(path, raw_header_override: int | None = None, *, write: bool = 
             mapped.madvise(mmap.MADV_NOHUGEPAGE)
     view = memoryview(mapped)
     try:
-        yield parse_carrier(view, raw_header_override)
+        yield view
     finally:
         with contextlib.suppress(BufferError):
             view.release()
             mapped.close()
+
+
+@contextlib.contextmanager
+def open_carrier(path, raw_header_override: int | None = None, *, write: bool = True):
+    """Parse a carrier file in place, for patching or reading it.
+
+    Yields the `parse_carrier` of a `_mapped` view of the file. By
+    default the view is writable and writes to it change the file; with
+    `write=False` the file is opened read-only (a mode-0444 file will do)
+    and so is the view.
+    """
+    with open(path, "r+b" if write else "rb") as file, \
+            _mapped(file.fileno(), write=write) as view:
+        yield parse_carrier(view, raw_header_override)
 
 
 def parse_carrier(file_bytes: bytes | memoryview,

@@ -19,17 +19,17 @@ through a reused 256 KiB buffer.
 
 The receiver streams the payload through one reused buffer of at most
 256 KiB to a temporary file, links it into place only after the checksum
-verifies, and answers one acknowledgment byte: 0x00 accepted, 0x01
-rejected. The body of a frame whose name is refused is read and dropped,
-never written. Frames with a bad magic are dropped without an
-acknowledgment. Connections are handled concurrently and a failing one
-never stops the server.
+verifies, under the first free one of MAX_NAME_CANDIDATES names, and
+answers one acknowledgment byte: 0x00 accepted, 0x01 rejected. The body
+of a frame whose name is refused is read and dropped, never written.
+Frames with a bad magic are dropped without an acknowledgment.
+Connections are handled concurrently and a failing one never stops the
+server.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import logging
 import os
 import re
@@ -56,6 +56,9 @@ MAGIC = b"STG1"
 ACK_OK = b"\x00"
 ACK_REJECTED = b"\x01"
 MAX_NAME_BYTES = 255
+# names `claim_name` tries for one file: each try is one link, so a name
+# sent again and again would otherwise cost each store one link more
+MAX_NAME_CANDIDATES = 1000
 _SENDFILE_ABOVE = 1024 * 1024  # larger regular files skip the in-memory frame
 # the one buffer each large send and each connection reuses; 1 MiB raised
 # the receiver's peak RSS and sped nothing up
@@ -98,10 +101,11 @@ def _wire_name(name_bytes: bytes) -> str | None:
 
 def claim_name(source, out_dir: Path, stem: str, suffix: str) -> Path:
     """Hard-link `source` into `out_dir` as `<stem><suffix>`, or as the first
-    free `<stem>-N<suffix>`; never replaces a file. Each candidate is cut to
-    MAX_NAME_BYTES as the file system encodes it, on a character boundary:
-    the stem first, then the end of the name."""
-    for counter in itertools.count():
+    free `<stem>-N<suffix>` for N below MAX_NAME_CANDIDATES; never replaces a
+    file, and raises FileExistsError when every candidate is taken. Each
+    candidate is cut to MAX_NAME_BYTES as the file system encodes it, on a
+    character boundary: the stem first, then the end of the name."""
+    for counter in range(MAX_NAME_CANDIDATES):
         tail = f"-{counter}{suffix}" if counter else suffix
         head = _cut(stem, MAX_NAME_BYTES - len(os.fsencode(tail)))
         candidate = _cut(head + tail, MAX_NAME_BYTES)
@@ -110,6 +114,8 @@ def claim_name(source, out_dir: Path, stem: str, suffix: str) -> Path:
             return out_dir / candidate
         except FileExistsError:
             pass
+    raise FileExistsError(f"{stem}{suffix} and its numbered names up to "
+                          f"-{MAX_NAME_CANDIDATES - 1} are all taken in {out_dir}")
 
 
 def _cut(text: str, limit: int) -> str:
@@ -308,7 +314,10 @@ class FileReceiver:
             else:
                 tmp.flush()  # the name shows the whole body from the moment it exists
                 stem, dot, suffix = name.partition(".")
-                stored = claim_name(tmp.name, self.out_dir, stem, dot + suffix)
+                try:
+                    stored = claim_name(tmp.name, self.out_dir, stem, dot + suffix)
+                except FileExistsError as exc:
+                    reject_reason = str(exc)
         if reject_reason is not None:
             log.warning("rejecting %s: %s", addr, reject_reason)
             conn.sendall(ACK_REJECTED)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stegostream import cli, container, stego
+from stegostream import cli, container, stego, transfer
 from stegostream.cipher import SealedPayload
 from stegostream.container import parse_carrier
 from stegostream.errors import StegoStreamError
@@ -324,6 +324,22 @@ def test_extract_never_replaces_a_file(tmp_path, carrier_wav, keyed_env, capsys)
     assert stego_path.read_bytes() == stego_bytes
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "carrier.wav", "song.wav", "stego-1.wav", "stego-2.wav", "stego.wav"]
+
+
+def test_extract_fails_once_every_candidate_name_is_taken(tmp_path, carrier_wav, keyed_env,
+                                                         capsys, monkeypatch):
+    monkeypatch.setattr(transfer, "MAX_NAME_CANDIDATES", 2)
+    message = tmp_path / "m.txt"
+    message.write_bytes(b"extracted three times")
+    stego_path, out_dir = tmp_path / "s.wav", tmp_path / "r"
+    assert cli.run(["embed", "--carrier", str(carrier_wav), "--message", str(message),
+                    "--key-env", keyed_env, "--out", str(stego_path)]) == 0
+    for code in (0, 0, 1):
+        assert cli.run(["extract", "--carrier", str(stego_path), "--key-env", keyed_env,
+                        "--out-dir", str(out_dir)]) == code
+    assert capsys.readouterr().err == (
+        f"error: s.txt and its numbered names up to -1 are all taken in {out_dir}\n")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["s-1.txt", "s.txt"]
 
 
 _SIZE_IMPLAUSIBLE = bytes([1] + [0] * 8 + [1] * 32 + [0] * 200)  # regular, size 2**32 - 1
@@ -936,6 +952,61 @@ def test_embed_reads_a_message_fifo(tmp_path, carrier_wav, keyed_env):
     assert (tmp_path / "r" / "stego.txt").read_bytes() == b"through a pipe"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs mkfifo")
+def test_embed_stops_reading_a_message_past_the_capacity(tmp_path, carrier_wav, keyed_env,
+                                                         capsys):
+    # an endless FIFO would fill memory or disk: reading stops one byte past
+    # the larger capacity, and closing the pipe ends the writer on EPIPE
+    limit = max(capacity(parse_carrier(carrier_wav.read_bytes()), mode) for mode in StegoMode)
+    fifo = tmp_path / "piped.txt"
+    os.mkfifo(fifo)
+    outcome = []
+
+    def write():
+        try:
+            fifo.write_bytes(bytes(limit + (1 << 20)))
+            outcome.append("written")
+        except BrokenPipeError:
+            outcome.append("broken pipe")
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        rc = cli.run(["embed", "--carrier", str(carrier_wav), "--message", str(fifo),
+                      "--key-env", keyed_env, "--out", str(tmp_path / "s.wav")])
+    finally:
+        if writer.is_alive():  # the embed never opened the pipe: let the writer fail
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(5)
+    assert not writer.is_alive() and outcome == ["broken pipe"]
+    assert rc == 2
+    assert f"error: message of more than {limit} bytes fits neither mode" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([carrier_wav, fifo])
+
+
+@pytest.mark.parametrize("message_bytes, key_env, code, error", [
+    (b"", "STEGO_TEST_KEY", 1, "cannot seal an empty message"),
+    (b"x", "UNSET_TEST_KEY", 1, "environment variable UNSET_TEST_KEY is unset or empty"),
+], ids=["empty-message", "unset-key"])
+@pytest.mark.parametrize("out_exists", [False, True], ids=["new-out", "old-out"])
+def test_failed_embed_leaves_no_copy(message_bytes, key_env, code, error, out_exists,
+                                     tmp_path, carrier_wav, keyed_env, capsys):
+    # the message copy next to --out is unnamed, so no failure leaves it
+    # behind (test_failed_patch_leaves_no_file covers a message too large)
+    message = tmp_path / "m.bin"
+    message.write_bytes(message_bytes)
+    out = tmp_path / "out.wav"
+    if out_exists:
+        out.write_bytes(b"left alone")
+    before = sorted(tmp_path.iterdir())
+    assert cli.run(["embed", "--carrier", str(carrier_wav), "--message", str(message),
+                    "--key-env", key_env, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert sorted(tmp_path.iterdir()) == before
+    if out_exists:
+        assert out.read_bytes() == b"left alone"
+
+
 def _peak_rss_mib(tmp_path, *command: str) -> float:
     """Peak RSS of one `python` child, started through the benchmark's
     `timed.py` so that the figure is the child's own and not inherited."""
@@ -964,6 +1035,31 @@ def test_embed_and_delete_memory_follows_the_window_not_the_carrier(tmp_path):
                                 str(tmp_path / "s.wav"), "--out", str(tmp_path / "d.wav"))
     assert embed_peak - floor <= 12
     assert delete_peak - floor <= 12
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="pages are dropped with Linux's madvise")
+def test_embed_and_extract_hold_a_large_message_at_most_twice(tmp_path):
+    # a full excessive message, about 6 MiB: embed holds its ciphertext once
+    # (the mapped copy drops its pages as it is sealed), extract the carrier,
+    # the ciphertext and the plaintext; a copy made by the cipher library,
+    # or by BytesIO.getvalue() while a view of its buffer is left, adds one
+    # more message to either
+    carrier = tmp_path / "carrier.wav"
+    carrier.write_bytes(build_wav(random.Random(12).randbytes(24 << 20)))
+    size = capacity(parse_carrier(carrier.read_bytes()), StegoMode.EXCESSIVE)
+    message = tmp_path / "m.bin"
+    message.write_bytes(random.Random(13).randbytes(size))
+    floor = _peak_rss_mib(tmp_path, "-c", "import stegostream.cli")
+    embed_peak = _peak_rss_mib(tmp_path, "-m", "stegostream", "embed", "--carrier", str(carrier),
+                               "--message", str(message), "--out", str(tmp_path / "s.wav"),
+                               "--mode", "excessive", "--key-env", "CHILD_KEY")
+    extract_peak = _peak_rss_mib(tmp_path, "-m", "stegostream", "extract", "--carrier",
+                                 str(tmp_path / "s.wav"), "--out-dir", str(tmp_path / "r"),
+                                 "--key-env", "CHILD_KEY")
+    assert (tmp_path / "r" / "s.bin").read_bytes() == message.read_bytes()
+    message_mib, carrier_mib = size / 2**20, carrier.stat().st_size / 2**20
+    assert embed_peak - floor <= message_mib + 4
+    assert extract_peak - floor <= carrier_mib + 2 * message_mib + 4
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="pages are dropped with Linux's madvise")

@@ -224,6 +224,29 @@ def test_same_name_collisions_get_suffixes(receiver, tmp_path):
     assert stored == set(contents)
 
 
+def test_name_collisions_stop_at_the_candidate_cap(receiver, monkeypatch):
+    # each store of one name tries one more link than the last, up to the
+    # cap; past it the file is refused instead of costing ever more links
+    server, inbox = receiver
+    monkeypatch.setattr(transfer, "MAX_NAME_CANDIDATES", 4)
+    links = []
+    link = os.link
+
+    def counted_link(source, target):
+        links.append(target)
+        link(source, target)
+
+    monkeypatch.setattr(os, "link", counted_link)
+    counts, acks = [], []
+    for i in range(6):
+        before = len(links)
+        acks.append(_raw_exchange(server.port, encode_frame("f.bin", b"body %d" % i)))
+        counts.append(len(links) - before)
+    assert counts == [1, 2, 3, 4, 4, 4]
+    assert acks == [ACK_OK] * 4 + [ACK_REJECTED] * 2
+    assert sorted(p.name for p in inbox.iterdir()) == ["f-1.bin", "f-2.bin", "f-3.bin", "f.bin"]
+
+
 @pytest.mark.parametrize("name, second", [
     ("a" * 251 + ".wav", "a" * 249 + "-1.wav"),
     ("\u00e9" * 125 + ".wav", "\u00e9" * 124 + "-1.wav"),  # cut on a character boundary
