@@ -70,11 +70,11 @@ def encrypt_block(key: bytes, block: bytes) -> bytes:
 def _ctr_xor(key: bytes, nonce: bytes, data) -> bytes:
     """XOR `data` with the counter-mode keystream; the counter is the low 64 bits.
 
-    `data` is walked in pieces of `_PIECE_BYTES` (`container._walk`), so
-    a mapped input drops its pages behind the walk, and each piece is
-    encrypted into one output buffer. The result is that buffer itself as
-    `bytes`: `getvalue()` hands it over uncopied once no view of it is
-    left, and the last piece's 15 spare bytes are cut off first.
+    `data` is walked in pieces of `_PIECE_BYTES` (`container._walk`), and
+    each piece is encrypted into one output buffer. The result is that
+    buffer itself as `bytes`: `getvalue()` hands it over uncopied once no
+    view of it is left, and the last piece's 15 spare bytes are cut off
+    first.
     """
     # bytes before the low half wraps to zero
     split = 16 * (2**64 - int.from_bytes(nonce[8:16], "big"))
@@ -86,7 +86,7 @@ def _ctr_xor(key: bytes, nonce: bytes, data) -> bytes:
     out.seek(size + 14)  # update_into wants room for its input plus 15 bytes
     out.write(b"\0")
     with out.getbuffer() as target:
-        for start, end in _walk(size, _PIECE_BYTES, (view, lambda end: end)):
+        for start, end in _walk(size, _PIECE_BYTES, (view, 0, 1)):
             cut = min(max(split, start), end)  # a piece may straddle the wrap
             for encryptor, lo, hi in ((first, start, cut), (wrapped, cut, end)):
                 if lo < hi:

@@ -109,18 +109,9 @@ def _patched_copy(carrier_path, out, header_size):
 def _choose_mode(carrier, message_len: int, requested: str | None) -> stego.StegoMode:
     if requested:
         return stego.StegoMode(requested)
-    for mode in stego.StegoMode:  # REGULAR first
-        if message_len <= stego.capacity(carrier, mode):
-            return mode
-    raise _fits_neither(carrier, f"{message_len} bytes")
-
-
-def _fits_neither(carrier, size: str) -> CapacityExceeded:
-    return CapacityExceeded(
-        f"message of {size} fits neither mode: "
-        f"regular capacity {stego.capacity(carrier, stego.StegoMode.REGULAR)} bytes, "
-        f"excessive capacity {stego.capacity(carrier, stego.StegoMode.EXCESSIVE)} bytes"
-    )
+    # REGULAR first; `_message_copy` has refused what fits neither
+    return next(mode for mode in stego.StegoMode
+                if message_len <= stego.capacity(carrier, mode))
 
 
 @contextlib.contextmanager
@@ -133,7 +124,8 @@ def _message_copy(path, carrier, out):
     the copy behind. Reading stops one byte past the larger of the
     carrier's two capacities, which raises CapacityExceeded.
     """
-    limit = max(stego.capacity(carrier, mode) for mode in stego.StegoMode)
+    regular, excessive = (stego.capacity(carrier, mode) for mode in stego.StegoMode)
+    limit = max(regular, excessive)
     with tempfile.TemporaryFile(dir=os.path.dirname(os.path.realpath(out))) as copy:
         copied = 0
         with open(path, "rb", buffering=0) as source:
@@ -141,7 +133,9 @@ def _message_copy(path, carrier, out):
                 copy.write(piece)
                 copied += len(piece)
         if copied > limit:
-            raise _fits_neither(carrier, f"more than {limit} bytes")
+            raise CapacityExceeded(
+                f"message of more than {limit} bytes fits neither mode: regular capacity "
+                f"{regular} bytes, excessive capacity {excessive} bytes")
         copy.flush()
         with container._mapped(copy.fileno()) as view:
             yield view

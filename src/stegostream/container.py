@@ -79,20 +79,20 @@ class AudioCarrier:
 def _walk(size: int, step: int, *reads):
     """Yield (start, end) of each block of `step` items from 0 to `size`.
 
-    `reads` are (array, frontier) pairs, each array a flat buffer (an
-    `ndarray` or a `memoryview`): once the block ending at `end` is done,
-    no later block reads `array` below item `frontier(end)`, so the pages
-    of a mapped array below that item are dropped (`_drop_pages`).
+    A read is (array, first, stride), the array a flat buffer (an
+    `ndarray` or a `memoryview`): no block after the one ending at `end`
+    reads `array` below item `first + stride * end`. So once a block is
+    done, the pages of a mapped array between that item at the block's
+    start and at its end, both held to the array, are dropped
+    (`_drop_pages`).
     """
-    done = [0] * len(reads)
     for start in range(0, size, step):
         end = min(start + step, size)
         yield start, end
-        for i, (array, frontier) in enumerate(reads):
-            item = min(max(frontier(end), 0), len(array))
-            if item > done[i]:
-                _drop_pages(array, done[i] * array.itemsize, item * array.itemsize)
-                done[i] = item
+        for array, first, stride in reads:
+            low, high = (min(max(first + stride * at, 0), len(array)) * array.itemsize
+                         for at in (start, end))
+            _drop_pages(array, low, high)
 
 
 def _drop_pages(buffer, start: int, stop: int) -> int:
@@ -125,10 +125,9 @@ def _address(buffer) -> int:
 def _mapped(fileno: int, *, write: bool = False):
     """Yield a `memoryview` of a shared `mmap` of the open file `fileno`,
     writable with `write` and read-only otherwise, so only the pages
-    touched are read, and pages done with can be dropped again (`_walk`).
-    An empty file, which mmap refuses, yields an empty view. The view is
-    released when the block ends, or, while an exception's traceback
-    still holds arrays over it, when they are freed.
+    touched are read. An empty file, which mmap refuses, yields an empty
+    view. The view is released when the block ends, or, while an
+    exception's traceback still holds arrays over it, when they are freed.
     """
     if os.fstat(fileno).st_size == 0:
         yield memoryview(b"")

@@ -19,8 +19,7 @@ from .errors import EmptyInput, LengthMismatch, TooShort
 SNR_CAP_DB = 100.0
 DEFAULT_FRAME_MS = 10
 # samples per block: every pass walks its inputs a block at a time (a
-# 1 MiB float64 block; the plane diff reads 8 bytes per block sample) and
-# drops the mapped pages behind the walk
+# 1 MiB float64 block; the plane diff reads 8 bytes per block sample)
 BLOCK_SAMPLES = 1 << 17
 # one matrix product of `_lag_sums` takes at most LAG_CHUNK lags and
 # PRODUCT_SAMPLES samples of one signal: with rows of up to 128 samples
@@ -80,7 +79,7 @@ def frame_snrs(original, modified, frame_len: int) -> list[float]:
     original_rows, error_rows = np.empty((2, rows, frame_len))
     values: list[float] = []
     for lo, hi in _walk(frame_count * frame_len, rows * frame_len,
-                        (a, _block_end), (b, _block_end)):
+                        (a, 0, 1), (b, 0, 1)):
         count = (hi - lo) // frame_len
         frames, error = original_rows[:count], error_rows[:count]
         np.copyto(frames, a[lo:hi].reshape(count, frame_len))
@@ -142,12 +141,6 @@ def _as_samples(values) -> np.ndarray:
     return values if isinstance(values, np.ndarray) else np.asarray(values, dtype=np.float64)
 
 
-def _block_end(end: int) -> int:
-    """The frontier of an input read in step with the walk: once a block
-    is done, nothing below its end is read again."""
-    return end
-
-
 def _lag_dots(xs: np.ndarray, ys: np.ndarray, lags: range) -> list[float | None]:
     """sum(xs[t] * ys[t+lag]) over the overlap for each lag, or None where
     the signals do not overlap.
@@ -190,7 +183,7 @@ def _lag_sums(xs: np.ndarray, ys: np.ndarray, lags: range) -> np.ndarray:
     diagonals = windows(c, k, axis=1).diagonal()  # [k, j]: c[j, j+k]
     totals = np.zeros(len(chunks) * k)
     for start, end in _walk(xs.size, BLOCK_SAMPLES,
-                            (xs, _block_end), (ys, lambda end: end + lags.start)):
+                            (xs, 0, 1), (ys, lags.start, 1)):
         for lo in range(start, end, rows * q):
             n = min(rows * q, end - lo)
             p = -(-n // q)
@@ -220,7 +213,7 @@ def bitplane_diff(before, after) -> tuple[int, int, int]:
     if xs.size != ys.size:
         raise LengthMismatch(f"byte counts differ: {xs.size} vs {ys.size}")
     plane0 = plane1 = other = 0
-    for start, end in _walk(xs.size, BLOCK_SAMPLES * 8, (xs, _block_end), (ys, _block_end)):
+    for start, end in _walk(xs.size, BLOCK_SAMPLES * 8, (xs, 0, 1), (ys, 0, 1)):
         delta = xs[start:end] ^ ys[start:end]
         plane0 += int(np.count_nonzero(delta & 0x01))
         plane1 += int(np.count_nonzero(delta & 0x02))

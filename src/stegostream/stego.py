@@ -201,19 +201,16 @@ def _chunks(carrier: AudioCarrier, lanes: list[Lane], skip: int = 0):
     """Yield (carrier view, plane, stream bit position) in runs of `_CHUNK_BITS` bits.
 
     The lanes' streams follow each other from bit `skip` on, but they are
-    walked in lockstep: chunk i of every lane, then chunk i+1. The head
-    and tail lanes cover one carrier span, so each page is touched in one
-    round, and after each round the pages below every unfinished lane's
-    next byte are dropped (`_walk`).
+    walked in lockstep (`_walk`): chunk i of every lane, then chunk i+1.
+    The head and tail lanes cover one carrier span, so each page is
+    touched in one round.
     """
     arr = np.frombuffer(carrier.data, dtype=np.uint8)
     starts = list(itertools.accumulate((lane.count for lane in lanes), initial=skip))
-
-    def frontier(end):
-        return min((lane.start + lane.stride * end for lane in lanes if end < lane.count),
-                   default=0)
-
-    for i, end in _walk(max(lane.count for lane in lanes), _CHUNK_BITS, (arr, frontier)):
+    # the lanes of `EmbedPlan.lanes()` share one stride and list the lowest
+    # first, so its next byte is at or below every lane's
+    for i, end in _walk(max(lane.count for lane in lanes), _CHUNK_BITS,
+                        (arr, lanes[0].start, lanes[0].stride)):
         for lane, start in zip(lanes, starts):
             if i < lane.count:
                 yield lane.view(arr)[i:end], lane.plane, start + i

@@ -249,7 +249,8 @@ class FileReceiver:
         deadline = time.monotonic() + 5
         with contextlib.suppress(OSError):  # on Linux a blocked accept() fails at once
             self._listener.shutdown(socket.SHUT_RDWR)
-        self._accept_thread.join(timeout=5)
+        if self._accept_thread.ident is not None:  # a receiver never entered has none
+            self._accept_thread.join(timeout=5)
         self._listener.close()
         for conn in list(self._workers.values()):
             with contextlib.suppress(OSError):  # a worker waiting on a silent peer reads EOF

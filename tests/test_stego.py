@@ -77,6 +77,12 @@ def test_plan_split_and_disjointness(header_len, message_len, mode):
                      reference_placements(header_len, bytes(message_len), 0, mode.value)]
     assert all(plan.flag_offset <= offset < plan.required_size for offset, _ in slots)
     assert plan.required_size == plan.payload_base + plan.payload_span
+    # `_chunks` drops pages behind its first lane's next byte, which bounds
+    # every lane's next byte only when each walk's lanes share one stride
+    # and list the lowest lane first
+    for lanes in stego_module._split_lanes(plan):
+        assert len({lane.stride for lane in lanes}) == 1
+        assert lanes[0].start == min(lane.start for lane in lanes)
 
 
 def test_required_size_closed_forms():

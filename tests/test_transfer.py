@@ -395,6 +395,15 @@ def test_peer_closing_early_logs_one_info_line(tmp_path, caplog, cut):
     assert list((tmp_path / "inbox").iterdir()) == []
 
 
+def test_stop_without_entering_closes_the_listener(tmp_path):
+    # no accept thread was started, so there is none to join
+    server = FileReceiver(0, tmp_path / "inbox")
+    server.stop()
+    assert server._listener.fileno() == -1
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=5).close()
+
+
 def test_stop_is_bounded_with_idle_peers(tmp_path):
     # three peers that connect and send nothing may not hold stop() for their timeouts
     with FileReceiver(0, tmp_path / "inbox") as server, contextlib.ExitStack() as peers:
