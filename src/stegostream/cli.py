@@ -12,6 +12,7 @@ import contextlib
 import getpass
 import os
 import shutil
+import signal
 import stat
 import sys
 import tempfile
@@ -93,8 +94,8 @@ def _patched_copy(carrier_path, out, header_size):
     `out` has, or a new file's mode when `out` does not exist yet.
     """
     target = os.path.realpath(out)
-    tmp_dir = tempfile.mkdtemp(prefix=".stegostream-", dir=os.path.dirname(target))
-    try:
+    with tempfile.TemporaryDirectory(prefix=".stegostream-", dir=os.path.dirname(target),
+                                     ignore_cleanup_errors=True) as tmp_dir:
         tmp = os.path.join(tmp_dir, "carrier")
         shutil.copyfile(carrier_path, tmp)
         with container.open_carrier(tmp, header_size) as carrier:
@@ -102,21 +103,12 @@ def _patched_copy(carrier_path, out, header_size):
         if os.path.exists(target):  # after the patch: a read-only mode would refuse it
             shutil.copymode(target, tmp)
         os.replace(tmp, target)
-    finally:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-
-
-def _choose_mode(carrier, message_len: int, requested: str | None) -> stego.StegoMode:
-    if requested:
-        return stego.StegoMode(requested)
-    # REGULAR first; `_message_copy` has refused what fits neither
-    return next(mode for mode in stego.StegoMode
-                if message_len <= stego.capacity(carrier, mode))
 
 
 @contextlib.contextmanager
 def _message_copy(path, carrier, out):
-    """Yield a read-only `memoryview` of a copy of the message file, mapped.
+    """Yield a read-only `memoryview` of a copy of the message file, mapped,
+    and the first mode, regular before excessive, whose capacity holds it.
 
     The copy is read in pieces into an unnamed temporary file next to
     `out`: a FIFO is read the same way as a regular file, nothing another
@@ -138,13 +130,14 @@ def _message_copy(path, carrier, out):
                 f"{regular} bytes, excessive capacity {excessive} bytes")
         copy.flush()
         with container._mapped(copy.fileno()) as view:
-            yield view
+            yield view, next(mode for mode, room in zip(stego.StegoMode, (regular, excessive))
+                             if copied <= room)
 
 
 def _cmd_embed(args) -> int:
     with _patched_copy(args.carrier, args.out, args.header_size) as carrier:
-        with _message_copy(args.message, carrier, args.out) as message:
-            mode = _choose_mode(carrier, len(message), args.mode)
+        with _message_copy(args.message, carrier, args.out) as (message, fitting):
+            mode = stego.StegoMode(args.mode) if args.mode else fitting
             payload = seal(message, stego.code_for_extension(Path(args.message).suffix),
                            _passphrase(args))
         stego.embed(carrier, payload, mode)
@@ -228,10 +221,14 @@ def _cmd_send(args) -> int:
 
 
 def _cmd_recv(args) -> int:
-    with transfer.FileReceiver(args.port, args.out_dir) as receiver, \
-            contextlib.suppress(KeyboardInterrupt):
-        _emit(listening_port=receiver.port, out_dir=args.out_dir)
-        threading.Event().wait()  # until Ctrl-C
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as on Ctrl-C
+    try:
+        with transfer.FileReceiver(args.port, args.out_dir) as receiver, \
+                contextlib.suppress(KeyboardInterrupt):
+            _emit(listening_port=receiver.port, out_dir=args.out_dir)
+            threading.Event().wait()  # until Ctrl-C or SIGTERM
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 
@@ -331,7 +328,3 @@ def main():
     # as the same bytes, even where stdout's error handler would be strict
     sys.stdout.reconfigure(errors="surrogateescape")
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -4,10 +4,9 @@ import io
 import json
 import os
 import random
-import re
-import select
 import shutil
 import signal
+import socket
 import stat
 import subprocess
 import sys
@@ -27,7 +26,7 @@ from stegostream.errors import StegoStreamError
 from stegostream.stego import StegoMode, capacity, inspect_carrier
 from stegostream.transfer import FileReceiver, encode_frame
 
-from conftest import build_wav, mutated, pcm16_bytes
+from conftest import build_wav, mutated, pcm16_bytes, read_line, recv_child
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,17 +75,27 @@ def test_embed_binary_message_excessive(tmp_path, carrier_wav, keyed_env):
     assert (extract_dir / "s.zip").read_bytes() == message.read_bytes()
 
 
-def test_auto_mode_falls_back_to_excessive(tmp_path, keyed_env, capsys):
-    # room for excessive only: regular needs 41 + 16*ceil(m/2)
+@pytest.mark.parametrize("size, flags, code, shown", [
+    (32, [], 0, "mode=regular\n"),
+    (33, [], 0, "mode=excessive\n"),
+    (68, [], 0, "mode=excessive\n"),
+    (69, [], 2, "error: message of more than 68 bytes fits neither mode: regular capacity 32 "
+                "bytes, excessive capacity 68 bytes\n"),
+    (33, ["--mode", "regular"], 2, "error: carrier size is not enough: regular embed of "),
+], ids=["32", "33", "68", "69", "33-forced-regular"])
+def test_auto_mode_falls_back_to_excessive(tmp_path, keyed_env, capsys, size, flags, code, shown):
+    # a 300-byte raw carrier holds 32 bytes in regular mode and 68 in excessive
     carrier = tmp_path / "small.bin"
     carrier.write_bytes(bytes(random.Random(1).randrange(256) for _ in range(300)))
     message = tmp_path / "m.txt"
-    message.write_bytes(bytes(40))
+    message.write_bytes(bytes(size))
     out = tmp_path / "out.bin"
     rc = cli.run(["embed", "--carrier", str(carrier), "--message", str(message),
-                  "--key-env", keyed_env, "--out", str(out), "--header-size", "0"])
-    assert rc == 0
-    assert "mode=excessive" in capsys.readouterr().out
+                  "--key-env", keyed_env, "--out", str(out), "--header-size", "0", *flags])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert (captured.out if code == 0 else captured.err).startswith(shown)
+    assert out.exists() == (code == 0)
 
 
 def test_embed_capacity_exhausted_prints_both_figures(tmp_path, keyed_env, capsys):
@@ -620,49 +629,43 @@ def test_recv_child_stores_a_file_and_exits_zero_on_ctrl_c(tmp_path):
     payload = tmp_path / "ship.wav"
     payload.write_bytes(random.Random(5).randbytes(70_000))
     inbox = tmp_path / "inbox"
-    child = subprocess.Popen([sys.executable, "-m", "stegostream", "recv", "--port", "0",
-                              "--out", str(inbox)],
-                             env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             bufsize=0)  # readline takes no more than its line from the pipe
-    try:
-        first = child.stdout.readline()
-        assert first.startswith(b"listening_port=")
-        send_file("127.0.0.1", int(first.split(b"=")[1]), payload)
+    with recv_child(inbox) as (child, port):
+        send_file("127.0.0.1", port, payload)
         child.send_signal(signal.SIGINT)
         out, err = child.communicate(timeout=5)
-    finally:
-        child.kill()
-        child.communicate()
     assert (child.returncode, out, err) == (0, b"out_dir=" + os.fsencode(inbox) + b"\n", b"")
     assert (inbox / "ship.wav").read_bytes() == payload.read_bytes()
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="sends signals")
+@pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+def test_recv_child_stops_mid_frame_and_leaves_no_temp_file(tmp_path, signame):
+    # the cut frame's body sits in a .incoming- temp file until the stop
+    inbox = tmp_path / "inbox"
+    frame = encode_frame("cut.wav", bytes(100_000))
+    with recv_child(inbox) as (child, port), \
+            socket.create_connection(("127.0.0.1", port), timeout=5) as peer:
+        peer.sendall(frame[:len(frame) // 2])
+        deadline = time.monotonic() + 5
+        while not any(inbox.iterdir()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [path.name.startswith(".incoming-") for path in inbox.iterdir()] == [True]
+        child.send_signal(getattr(signal, signame))
+        out, err = child.communicate(timeout=5)
+    assert (child.returncode, out, err) == (0, b"out_dir=" + os.fsencode(inbox) + b"\n", b"")
+    assert list(inbox.iterdir()) == []
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="selects on a pipe")
 def test_recv_announces_itself_on_a_pipe_at_once(tmp_path):
     # a supervisor reads the port of --port 0 from a pipe, where stdout is
-    # block-buffered unless the program flushes
+    # block-buffered unless the program flushes; recv_child reads the port line
     inbox = tmp_path / "inbox"
-    env = _child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    child = subprocess.Popen([sys.executable, "-m", "stegostream", "recv", "--port", "0",
-                              "--out", str(inbox)],
-                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    seen = b""
-    try:
-        deadline = time.monotonic() + 5
-        while seen.count(b"\n") < 2 and select.select(
-                [child.stdout], [], [], max(0.0, deadline - time.monotonic()))[0]:
-            chunk = os.read(child.stdout.fileno(), 4096)
-            if not chunk:
-                break
-            seen += chunk
+    with recv_child(inbox) as (child, port):
+        rest = read_line(child.stdout, 5)
         child.send_signal(signal.SIGINT)
         child.communicate(timeout=5)
-    finally:
-        child.kill()
-        child.communicate()
-    assert re.fullmatch(rb"listening_port=[1-9][0-9]*\nout_dir=" + re.escape(os.fsencode(inbox))
-                        + rb"\n", seen)
+    assert (port > 0, rest) == (True, b"out_dir=" + os.fsencode(inbox) + b"\n")
 
 
 # argv and the whole stdout of each command, in order, on the inputs of

@@ -5,18 +5,15 @@ import itertools
 import logging
 import os
 import random
-import select
 import signal
 import socket
 import struct
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,9 +35,7 @@ from stegostream.transfer import (
     send_file,
 )
 
-from conftest import mutated
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import mutated, read_line, recv_child
 
 
 @pytest.fixture
@@ -426,11 +421,6 @@ def _limit_descriptors():
     resource.setrlimit(resource.RLIMIT_NOFILE, (32, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 
 
-def _read_line(stream, timeout: float) -> bytes:
-    """One line from an unbuffered child pipe, or b"" when none starts within `timeout`."""
-    return stream.readline() if select.select([stream], [], [], timeout)[0] else b""
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="limits the child's descriptors")
 def test_receiver_keeps_accepting_after_descriptors_run_out(tmp_path):
     # 32 idle peers use up a child limited to 32 descriptors, so accept() fails
@@ -438,23 +428,14 @@ def test_receiver_keeps_accepting_after_descriptors_run_out(tmp_path):
     source = tmp_path / "after.wav"
     source.write_bytes(os.urandom(5000))
     inbox = tmp_path / "inbox"
-    child = subprocess.Popen([sys.executable, "-m", "stegostream", "recv", "--port", "0",
-                              "--out", str(inbox)],
-                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
-                             preexec_fn=_limit_descriptors)
-    try:
-        port = int(_read_line(child.stdout, 5).split(b"=")[1])
+    with recv_child(inbox, _limit_descriptors) as (child, port):
         with contextlib.ExitStack() as peers:
             for _ in range(32):
                 peers.enter_context(socket.create_connection(("127.0.0.1", port), timeout=5))
-            assert b"accept failed: [Errno 24]" in _read_line(child.stderr, 5)
+            assert b"accept failed: [Errno 24]" in read_line(child.stderr, 5)
         assert send_file("127.0.0.1", port, source, timeout=5) > 0
         child.send_signal(signal.SIGINT)
         child.communicate(timeout=5)
-    finally:
-        child.kill()
-        child.communicate()
     assert child.returncode == 0
     assert (inbox / "after.wav").read_bytes() == source.read_bytes()
 
