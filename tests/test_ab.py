@@ -12,7 +12,9 @@ ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
 # prints the run's values from the checkout's values.json, one entry per
-# run, and logs its checkout and arguments to runs.log beside the checkouts
+# run, with the package file and the interpreter as absolute paths, as
+# perfbench/run.py gives them, and logs its checkout and arguments to
+# runs.log beside the checkouts
 STUB = """\
 import json
 import sys
@@ -25,7 +27,9 @@ with log.open("a") as out:
     out.write(" ".join([Path.cwd().name, *sys.argv[1:]]) + "\\n")
 values = json.loads(Path("values.json").read_text())[done]
 print("progress noise")
-print(json.dumps({"info": {"run": done}}))
+print(json.dumps({"info": {"run": done, "environment": {"executable": sys.executable},
+                            "package_file":
+                            str(Path.cwd() / "src" / "stegostream" / "__init__.py")}}))
 print(json.dumps({"correct": True, "attempted": 9, "failed": 0,
                   "metrics": {name: {"value": value, "unit": "u"}
                               for name, value in values.items()}}))
@@ -78,6 +82,19 @@ def test_pairs_alternate_and_every_run_is_kept(tmp_path, capsys):
     assert printed.count("pair=2 side=change correct=true failed=0 attempted=9") == 1
     assert printed[-2].split()[0] == "t_s" and printed[-2].endswith("3/3    gain")
     assert printed[-1].split()[0] == "rate" and printed[-1].endswith("0/3    same")
+
+
+def test_out_gives_no_path_of_the_machine_it_ran_on(tmp_path):
+    # so two BENCH files of one tree, run from any two directories, agree
+    for name in ("old", "new"):
+        _checkout(tmp_path, name, [{"t_s": 1.0, "rate": 1.0}] * 2)
+    out = tmp_path / "bench.json"
+    assert ab.main(["--parent", str(tmp_path / "new" / ".." / "old"),
+                    "--change", str(tmp_path / "new"), "--workload", "ship", "--seed", "5",
+                    "--pairs", "2", "--out", str(out)]) == 0
+    assert [(run["info"]["package_file"], run["info"]["environment"]["executable"])
+            for run in json.loads(out.read_text())["runs"]] == [
+        ("src/stegostream/__init__.py", Path(sys.executable).name)] * 4
 
 
 def test_smoke_and_seconds_reach_every_run(tmp_path):

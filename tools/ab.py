@@ -29,7 +29,8 @@ Quartiles are `statistics.quantiles(..., n=4, method="inclusive")`, so
 they stay within the runs. `--out FILE` writes every run as JSON,
 `{"command", "note", "runs"}` with each run's side, commit, workload,
 trace, pair, info line and result line, as the repository's BENCH_*.json
-files hold them.
+files hold them; the info line's `package_file` is given relative to the
+run's checkout, and its `environment.executable` by file name.
 """
 
 from __future__ import annotations
@@ -66,7 +67,12 @@ def _run(checkout: Path, command: list[str], side: str, pair: int) -> dict:
     if done.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"ab: the {side} run of pair {pair} exited {done.returncode}:\n"
                          f"{done.stderr}")
-    return {"info": json.loads(lines[-2])["info"], "result": json.loads(lines[-1])}
+    info = json.loads(lines[-2])["info"]
+    # where the checkout and the interpreter lie says nothing about the run
+    info["package_file"] = Path(info["package_file"]).resolve().relative_to(
+        checkout.resolve()).as_posix()
+    info["environment"]["executable"] = Path(info["environment"]["executable"]).name
+    return {"info": info, "result": json.loads(lines[-1])}
 
 
 def _spread(values: list[float]) -> float:
