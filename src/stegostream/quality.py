@@ -62,9 +62,10 @@ def frame_snrs(original, modified, frame_len: int) -> list[float]:
 
     Frames with zero signal energy are skipped; frames with zero
     distortion contribute the cap value. Trailing samples that do not
-    fill a frame are ignored. Frames are converted to float64 a block of
-    whole frames at a time, into two blocks of rows made once per call;
-    each frame's value does not depend on the block it falls in.
+    fill a frame are ignored. The signals are walked BLOCK_SAMPLES at a
+    time, whatever the frame length, and each block's energies are added
+    to those of the frames it holds part of: for 16-bit samples every
+    partial sum is an exact integer, so no value depends on the blocks.
     """
     a = _as_samples(original)
     b = _as_samples(modified)
@@ -75,23 +76,22 @@ def frame_snrs(original, modified, frame_len: int) -> list[float]:
     frame_count = a.size // frame_len
     if frame_count == 0:
         raise TooShort(f"need at least {frame_len} samples, got {a.size}")
-    rows = min(max(1, BLOCK_SAMPLES // frame_len), frame_count)
-    original_rows, error_rows = np.empty((2, rows, frame_len))
-    values: list[float] = []
-    for lo, hi in _walk(frame_count * frame_len, rows * frame_len,
-                        (a, 0, 1), (b, 0, 1)):
-        count = (hi - lo) // frame_len
-        frames, error = original_rows[:count], error_rows[:count]
-        np.copyto(frames, a[lo:hi].reshape(count, frame_len))
-        np.subtract(frames, b[lo:hi].reshape(count, frame_len), out=error)
-        signal = np.einsum("ij,ij->i", frames, frames)
-        distortion = np.einsum("ij,ij->i", error, error)
-        audible = signal != 0
-        # zero distortion gives log10(inf), which the cap turns into SNR_CAP_DB
-        with np.errstate(divide="ignore"):
-            snrs = np.minimum(10.0 * np.log10(signal[audible] / distortion[audible]), SNR_CAP_DB)
-        values.extend(snrs.tolist())
-    return values
+    squares = np.empty((2, min(BLOCK_SAMPLES, a.size)))  # made once per call
+    energies = np.zeros((2, frame_count))  # signal, distortion
+    for lo, hi in _walk(frame_count * frame_len, BLOCK_SAMPLES, (a, 0, 1), (b, 0, 1)):
+        block = squares[:, : hi - lo]
+        np.copyto(block[0], a[lo:hi])
+        np.subtract(block[0], b[lo:hi], out=block[1])
+        np.square(block, out=block)
+        first = lo // frame_len  # the frame holding sample lo may begin in an earlier block
+        starts = np.arange(first * frame_len - lo, hi - lo, frame_len).clip(0)
+        energies[:, first : first + starts.size] += np.add.reduceat(block, starts, axis=1)
+    signal, distortion = energies
+    audible = signal != 0
+    # zero distortion gives log10(inf), which the cap turns into SNR_CAP_DB
+    with np.errstate(divide="ignore"):
+        snrs = np.minimum(10.0 * np.log10(signal[audible] / distortion[audible]), SNR_CAP_DB)
+    return snrs.tolist()
 
 
 def mean_snr(original, modified, frame_len: int) -> tuple[float, int]:

@@ -20,9 +20,9 @@ through a reused 256 KiB buffer.
 The receiver streams the payload through one reused buffer of at most
 256 KiB to a temporary file, links it into place only after the checksum
 verifies, under the first free one of MAX_NAME_CANDIDATES names, and
-answers one acknowledgment byte: 0x00 accepted, 0x01 rejected. The body
-of a frame whose name is refused is read and dropped, never written.
-Frames with a bad magic are dropped without an acknowledgment.
+answers one acknowledgment byte: 0x00 accepted, 0x01 rejected. A refused
+name is answered at the header, before any body byte is read. Frames
+with a bad magic are dropped without an acknowledgment.
 Connections are handled concurrently and a failing one never stops the
 server.
 """
@@ -302,23 +302,20 @@ class FileReceiver:
         (body_len,) = _BODY_LEN.unpack_from(rest, name_len)
 
         reject_reason = None
-        # the temp file is gone before the ack, so the peer never observes
-        # a half-finished out_dir; a refused name's body is read and dropped
-        with (contextlib.nullcontext() if name is None else
-              tempfile.NamedTemporaryFile(dir=self.out_dir, prefix=".incoming-")) as tmp:
-            crc = _crc_in_pieces(body_len, lambda piece: _recv_into(conn, piece), tmp)
-            crc_field = _recv_exact(conn, _CRC.size)
-            if name is None:
-                reject_reason = f"unsafe or invalid name {name_bytes!r}"
-            elif crc != _CRC.unpack(crc_field)[0]:
-                reject_reason = f"checksum mismatch for {name!r}"
-            else:
-                tmp.flush()  # the name shows the whole body from the moment it exists
-                stem, dot, suffix = name.partition(".")
-                try:
-                    stored = claim_name(tmp.name, self.out_dir, stem, dot + suffix)
-                except FileExistsError as exc:
-                    reject_reason = str(exc)
+        if name is None:  # answered at the header: its body_len sizes no work
+            reject_reason = f"unsafe or invalid name {name_bytes!r}"
+        else:  # the temp file is gone before the ack, so out_dir never shows it
+            with tempfile.NamedTemporaryFile(dir=self.out_dir, prefix=".incoming-") as tmp:
+                crc = _crc_in_pieces(body_len, lambda piece: _recv_into(conn, piece), tmp)
+                if crc != _CRC.unpack(_recv_exact(conn, _CRC.size))[0]:
+                    reject_reason = f"checksum mismatch for {name!r}"
+                else:
+                    tmp.flush()  # the name shows the whole body from the moment it exists
+                    stem, dot, suffix = name.partition(".")
+                    try:
+                        stored = claim_name(tmp.name, self.out_dir, stem, dot + suffix)
+                    except FileExistsError as exc:
+                        reject_reason = str(exc)
         if reject_reason is not None:
             log.warning("rejecting %s: %s", addr, reject_reason)
             conn.sendall(ACK_REJECTED)

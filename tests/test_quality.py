@@ -231,6 +231,8 @@ def test_lag_product_scratch_does_not_grow_with_the_lag_count():
 @settings(max_examples=100)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=60),
        st.sampled_from([1, 3, 7]))
+@example(1, 60, 7)  # frames longer than a block
+@example(2, 5, 7)  # blocks that cut frames
 def test_blocked_frame_snrs_equal_one_block(seed, frame_len, block):
     rng = np.random.default_rng(seed)
     original = rng.integers(-32768, 32768, 500, dtype=np.int16)
@@ -258,9 +260,12 @@ def _frame_snrs_peak(samples, frame_len):
 
 def test_frame_snrs_makes_its_blocks_once():
     # a float64 copy of each signal and their difference, made per block,
-    # peaked at about 4 MiB; two blocks of rows made once take 2 MiB
+    # peaked at about 4 MiB; one scratch of two blocks made once takes 2 MiB
     assert _frame_snrs_peak(1 << 20, 441) <= 2.5 * (1 << 20)
-    # a pair shorter than a block gets only the rows it has
+    # a frame longer than a block still gets one block: a scratch of whole
+    # frames held two float64 copies of it, 32 MiB
+    assert _frame_snrs_peak(4 << 20, 2 << 20) <= 2.5 * (1 << 20)
+    # a pair shorter than a block gets only the samples it has
     assert _frame_snrs_peak(4410, 441) <= 128 << 10
 
 

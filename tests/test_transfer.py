@@ -58,12 +58,18 @@ _DROPPED = (errno.ECONNRESET, errno.EPIPE, errno.ENOTCONN)
 
 def _raw_exchange(port, blob):
     # a dropped connection surfaces as EOF, a reset or an already
-    # disconnected socket at shutdown, depending on timing; a timeout
-    # (the receiver kept the connection open) still fails the test
+    # disconnected socket at shutdown, depending on timing; an ack sent
+    # before the receiver closed with bytes unread arrives before its
+    # reset, so it is still read after a failed send; a timeout (the
+    # receiver kept the connection open) still fails the test
     with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
         try:
             conn.sendall(blob)
             conn.shutdown(socket.SHUT_WR)
+        except OSError as exc:
+            if exc.errno not in _DROPPED:
+                raise
+        try:
             return conn.recv(1)
         except OSError as exc:
             if exc.errno not in _DROPPED:
@@ -322,7 +328,7 @@ def test_traversal_name_rejected(receiver):
     assert not (inbox.parent / "escape.wav").exists()
 
 
-def test_refused_name_body_is_drained_without_a_temp_file(receiver, monkeypatch):
+def test_refused_name_is_answered_without_a_temp_file(receiver, monkeypatch):
     server, inbox = receiver
     opened = []
     named_temporary_file = transfer.tempfile.NamedTemporaryFile
@@ -332,12 +338,22 @@ def test_refused_name_body_is_drained_without_a_temp_file(receiver, monkeypatch)
         return named_temporary_file(*args, **kwargs)
 
     monkeypatch.setattr(transfer.tempfile, "NamedTemporaryFile", spy)
-    body = _random_bytes(600 * 1024, seed=6)  # more than one receive buffer
+    # more than the socket buffers hold, so the send of the refused frame is
+    # reset and its ack is read after that
+    body = _random_bytes(8 << 20, seed=6)
     assert _raw_exchange(server.port, _raw_frame(b"../escape.wav", body)) == ACK_REJECTED
     assert opened == []
     assert _raw_exchange(server.port, _raw_frame(b"fine.wav", body)) == ACK_OK
     assert len(opened) == 1
     assert [p.read_bytes() for p in inbox.iterdir()] == [body]
+
+
+def test_refused_name_is_answered_at_its_header(receiver):
+    # no body follows the header, and the declared one would never end
+    server, inbox = receiver
+    head = MAGIC + struct.pack(">H", 13) + b"../escape.wav" + struct.pack(">Q", 1 << 63)
+    assert _raw_exchange(server.port, head) == ACK_REJECTED
+    assert list(inbox.iterdir()) == []
 
 
 def test_overlong_name_rejected(receiver):
