@@ -1076,5 +1076,5 @@ def test_compare_and_snr_memory_follows_the_block_not_the_files(tmp_path):
     pair = ["--original", str(tmp_path / "c.wav"), "--stego", str(tmp_path / "s.wav")]
     floor = _peak_rss_mib(tmp_path, "-c", "import stegostream.cli")
     for command in (["compare"], ["snr"], ["snr", "--frame-ms", "60000"]):
-        # the last is one frame of 2.6 Mi samples, longer than a block
+        # the last has frames of 2,646,000 samples (60 s at 44.1 kHz), longer than a block
         assert _peak_rss_mib(tmp_path, "-m", "stegostream", *command, *pair) - floor <= 12
