@@ -21,10 +21,13 @@ The receiver streams the payload through one reused buffer of at most
 256 KiB to a temporary file, links it into place only after the checksum
 verifies, under the first free one of MAX_NAME_CANDIDATES names, and
 answers one acknowledgment byte: 0x00 accepted, 0x01 rejected. A refused
-name is answered at the header, before any body byte is read. Frames
-with a bad magic are dropped without an acknowledgment.
-Connections are handled concurrently and a failing one never stops the
-server.
+name, or a body larger than any WAV file, is answered at the header,
+before any body byte is read. Frames with a bad magic are dropped without
+an acknowledgment.
+Up to MAX_CONNECTIONS connections are served at once, each by a thread
+that accepted it itself; threads are started only as the load needs them
+and are reused. One more connection is answered 0x01 at once, and a
+failing one never stops the server.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ MAX_NAME_BYTES = 255
 # names `claim_name` tries for one file: each try is one link, so a name
 # sent again and again would otherwise cost each store one link more
 MAX_NAME_CANDIDATES = 1000
+# connections served at once; one more is answered 0x01 and closed
+MAX_CONNECTIONS = 16
+# the largest file a RIFF size field describes: the field is a u32 that
+# counts all but the 8 bytes of the RIFF tag and the field itself
+_MAX_BODY_BYTES = (1 << 32) + 7
 _SENDFILE_ABOVE = 1024 * 1024  # larger regular files skip the in-memory frame
 # the one buffer each large send and each connection reuses; 1 MiB raised
 # the receiver's peak RSS and sped nothing up
@@ -187,6 +195,9 @@ def send_file(host: str, port: int, file_path, timeout: float = DEFAULT_TIMEOUT)
                 size = info.st_size
                 head = _frame_head(path.name, size)
                 tail = _CRC.pack(_crc_in_pieces(size, lambda piece: _read_into(file, piece)))
+                # when sendfile(2) fails at once, socket.sendfile falls back
+                # to reading from the file's position
+                file.seek(0)
                 sent = len(head) + size + len(tail)
             else:
                 frame = encode_frame(path.name, file.read())
@@ -199,13 +210,17 @@ def send_file(host: str, port: int, file_path, timeout: float = DEFAULT_TIMEOUT)
             raise ConnectFailed(f"cannot reach {host}:{port}: {exc}") from exc
         with conn:  # closing it on a short sendfile ends the peer's wait for the body
             try:
-                if streamed:
-                    conn.sendall(head)
-                    if conn.sendfile(file, 0, size) != size:
-                        raise TransferIoError(f"{path} shrank while it was sent to {host}:{port}")
-                    conn.sendall(tail)
-                else:
-                    conn.sendall(frame)
+                # a receiver that answers before the body ends resets the
+                # connection; its answer, sent first, is still read below
+                with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+                    if streamed:
+                        conn.sendall(head)
+                        if conn.sendfile(file, 0, size) != size:
+                            raise TransferIoError(
+                                f"{path} shrank while it was sent to {host}:{port}")
+                        conn.sendall(tail)
+                    else:
+                        conn.sendall(frame)
                 ack = conn.recv(1)
             except OSError as exc:
                 raise TransferIoError(f"transfer to {host}:{port} failed: {exc}") from exc
@@ -219,16 +234,23 @@ def send_file(host: str, port: int, file_path, timeout: float = DEFAULT_TIMEOUT)
 class FileReceiver:
     """Accepts transfer connections and stores verified files in out_dir.
 
-    Used as a context manager: entering starts the accept thread, leaving
-    calls stop().
+    Used as a context manager: entering starts the first thread, leaving
+    calls stop(). Each thread accepts a connection and serves it itself,
+    and starts one more thread when no other one is left to accept, so a
+    closed loop settles at two threads and at most MAX_CONNECTIONS + 1
+    ever exist.
     """
 
     def __init__(self, port: int, out_dir, host: str = "0.0.0.0"):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._workers: dict[threading.Thread, socket.socket] = {}
-        self._accept_thread = threading.Thread(target=self._serve_forever, daemon=True)
+        self._lock = threading.Lock()  # guards _threads, _open and the check of _stopping
+        self._threads: list[threading.Thread] = []
+        self._open: set[socket.socket] = set()  # the connections being served
         self._stopping = threading.Event()
+        # Linux reserves a descriptor for each thread blocked in accept(), so
+        # one thread at a time waits there and the others wait for this lock
+        self._accepting = threading.Lock()
         try:
             self._listener = socket.create_server((host, port))
         except OSError as exc:
@@ -236,7 +258,7 @@ class FileReceiver:
         self.port = self._listener.getsockname()[1]
 
     def __enter__(self):
-        self._accept_thread.start()
+        self._start_thread()
         return self
 
     def __exit__(self, *exc_info):
@@ -249,52 +271,78 @@ class FileReceiver:
         deadline = time.monotonic() + 5
         with contextlib.suppress(OSError):  # on Linux a blocked accept() fails at once
             self._listener.shutdown(socket.SHUT_RDWR)
-        if self._accept_thread.ident is not None:  # a receiver never entered has none
-            self._accept_thread.join(timeout=5)
-        self._listener.close()
-        for conn in list(self._workers.values()):
-            with contextlib.suppress(OSError):  # a worker waiting on a silent peer reads EOF
+        with self._lock:  # from here on no thread starts and no connection is served
+            threads, conns = list(self._threads), list(self._open)
+        for conn in conns:
+            with contextlib.suppress(OSError):  # a thread waiting on a silent peer reads EOF
                 conn.shutdown(socket.SHUT_RDWR)
-        for worker in list(self._workers):
-            worker.join(max(0.0, deadline - time.monotonic()))
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        self._listener.close()
+
+    def _start_thread(self):
+        thread = threading.Thread(target=self._serve_forever, daemon=True)
+        thread.start()
+        self._threads.append(thread)
 
     def _serve_forever(self):
-        """Accept until stop(): a failed accept() is retried, and a thread
-        that cannot start costs only its connection."""
+        """Accept and serve until stop(): a failed accept() is retried, a
+        connection over MAX_CONNECTIONS is answered 0x01 at once, and a
+        thread that cannot start costs no connection."""
         while True:
-            try:
-                conn, addr = self._listener.accept()
-            except OSError as exc:
-                if self._stopping.wait(0.1):  # also paces retries while descriptors run out
+            with self._accepting:
+                try:
+                    conn, addr = self._listener.accept()
+                except OSError as exc:
+                    if self._stopping.wait(0.1):  # also paces retries while descriptors run out
+                        return
+                    log.warning("accept failed: %s", exc)
+                    continue
+            with self._lock:
+                if self._stopping.is_set():  # stop() no longer sees new connections
+                    conn.close()
                     return
-                log.warning("accept failed: %s", exc)
-                continue
-            conn.settimeout(DEFAULT_TIMEOUT)
-            worker = threading.Thread(target=self._run_connection, args=(conn, addr), daemon=True)
-            self._workers[worker] = conn
+                admitted = len(self._open) < MAX_CONNECTIONS
+                if admitted:
+                    self._open.add(conn)
+                    if len(self._threads) == len(self._open):  # none is left to accept
+                        try:
+                            self._start_thread()
+                        except RuntimeError as exc:
+                            log.warning("cannot start another thread: %s", exc)
+            if admitted:
+                ack = self._run_connection(conn, addr)
+            else:
+                log.warning("rejecting %s: %d connections are open", addr, MAX_CONNECTIONS)
+                ack = ACK_REJECTED
             try:
-                worker.start()
-            except RuntimeError as exc:
-                del self._workers[worker]
-                conn.close()
-                log.warning("dropping connection from %s: %s", addr, exc)
+                with conn:
+                    if ack is not None:
+                        conn.sendall(ack)
+            except OSError as exc:
+                log.warning("cannot answer %s: %s", addr, exc)
 
-    def _run_connection(self, conn: socket.socket, addr):
+    def _run_connection(self, conn: socket.socket, addr) -> bytes | None:
+        """The ack for an admitted connection, or None to close it without
+        one; it leaves _open before the ack, so a peer that sends its next
+        file on the ack finds this thread's slot free."""
         try:
-            with conn:
-                self._handle(conn, addr)
+            conn.settimeout(DEFAULT_TIMEOUT)
+            return self._handle(conn, addr)
         except _PeerClosed:
             log.info("connection from %s closed before its frame ended", addr)
         except Exception:
             log.warning("connection from %s failed", addr, exc_info=True)
         finally:
-            self._workers.pop(threading.current_thread(), None)
+            with self._lock:
+                self._open.discard(conn)
+        return None
 
-    def _handle(self, conn: socket.socket, addr):
+    def _handle(self, conn: socket.socket, addr) -> bytes | None:
         magic = _recv_exact(conn, len(MAGIC))
         if magic != MAGIC:
             log.warning("dropping connection from %s: bad magic %r", addr, magic)
-            return
+            return None
         (name_len,) = _NAME_LEN.unpack(_recv_exact(conn, _NAME_LEN.size))
         rest = _recv_exact(conn, name_len + _BODY_LEN.size)
         name_bytes = rest[:name_len]
@@ -304,6 +352,8 @@ class FileReceiver:
         reject_reason = None
         if name is None:  # answered at the header: its body_len sizes no work
             reject_reason = f"unsafe or invalid name {name_bytes!r}"
+        elif body_len > _MAX_BODY_BYTES:
+            reject_reason = f"{body_len}-byte body is larger than any WAV file"
         else:  # the temp file is gone before the ack, so out_dir never shows it
             with tempfile.NamedTemporaryFile(dir=self.out_dir, prefix=".incoming-") as tmp:
                 crc = _crc_in_pieces(body_len, lambda piece: _recv_into(conn, piece), tmp)
@@ -318,7 +368,6 @@ class FileReceiver:
                         reject_reason = str(exc)
         if reject_reason is not None:
             log.warning("rejecting %s: %s", addr, reject_reason)
-            conn.sendall(ACK_REJECTED)
-        else:
-            log.info("stored %s (%d bytes) from %s", stored, body_len, addr)
-            conn.sendall(ACK_OK)
+            return ACK_REJECTED
+        log.info("stored %s (%d bytes) from %s", stored, body_len, addr)
+        return ACK_OK

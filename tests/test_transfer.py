@@ -356,6 +356,15 @@ def test_refused_name_is_answered_at_its_header(receiver):
     assert list(inbox.iterdir()) == []
 
 
+@pytest.mark.parametrize("body_len", [(1 << 32) + 8, 1 << 63], ids=["riff-limit+1", "2**63"])
+def test_body_larger_than_any_wav_is_answered_at_its_header(receiver, body_len):
+    # no body follows the header; a receiver waiting for it would never answer
+    server, inbox = receiver
+    head = MAGIC + struct.pack(">H", 8) + b"huge.wav" + struct.pack(">Q", body_len)
+    assert _raw_exchange(server.port, head) == ACK_REJECTED
+    assert list(inbox.iterdir()) == []
+
+
 def test_overlong_name_rejected(receiver):
     server, inbox = receiver
     assert _raw_exchange(server.port, _raw_frame(b"n" * 300, b"x")) == ACK_REJECTED
@@ -415,40 +424,113 @@ def test_stop_without_entering_closes_the_listener(tmp_path):
         socket.create_connection(("127.0.0.1", server.port), timeout=5).close()
 
 
+def _wait_for(condition, timeout=5):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert condition()
+
+
 def test_stop_is_bounded_with_idle_peers(tmp_path):
     # three peers that connect and send nothing may not hold stop() for their timeouts
     with FileReceiver(0, tmp_path / "inbox") as server, contextlib.ExitStack() as peers:
         for _ in range(3):
             peers.enter_context(socket.create_connection(("127.0.0.1", server.port), timeout=5))
-        deadline = time.monotonic() + 5
-        while len(server._workers) < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert len(server._workers) == 3
+        _wait_for(lambda: len(server._open) == 3)
         started = time.monotonic()
         server.stop()
         assert time.monotonic() - started < 3
-        assert not server._workers
+        assert not server._open
+        assert not any(thread.is_alive() for thread in server._threads)
     assert list((tmp_path / "inbox").iterdir()) == []
+
+
+def test_stop_is_bounded_with_peers_mid_body(tmp_path):
+    # two peers stall inside their bodies, each with a temp file open
+    inbox = tmp_path / "inbox"
+    frame = encode_frame("stalled.wav", bytes(100_000))
+    with FileReceiver(0, inbox) as server, contextlib.ExitStack() as peers:
+        for _ in range(2):
+            peer = peers.enter_context(
+                socket.create_connection(("127.0.0.1", server.port), timeout=5))
+            peer.sendall(frame[:50_000])
+        _wait_for(lambda: len(list(inbox.iterdir())) == 2)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 3
+        assert not any(thread.is_alive() for thread in server._threads)
+    assert list(inbox.iterdir()) == []
+
+
+def test_connection_over_the_cap_is_answered_at_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 2)
+    with FileReceiver(0, tmp_path / "inbox") as server, contextlib.ExitStack() as peers:
+        for _ in range(2):
+            peers.enter_context(socket.create_connection(("127.0.0.1", server.port), timeout=5))
+        _wait_for(lambda: len(server._open) == 2)
+        # the third peer sends nothing and is still answered
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as third:
+            assert third.recv(1) == ACK_REJECTED
+        assert len(server._threads) == 3
+
+
+def test_early_rejection_of_a_streamed_send_is_read(tmp_path, monkeypatch):
+    # the receiver answers 0x01 and closes with the body unread; the body
+    # is more than the socket buffers hold, so the sender's sendfile is
+    # reset, and the ack must still be read and reported
+    monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 2)
+    source = tmp_path / "large.wav"
+    source.write_bytes(_random_bytes(8 << 20, seed=7))
+    with FileReceiver(0, tmp_path / "inbox") as server, contextlib.ExitStack() as peers:
+        for _ in range(2):
+            peers.enter_context(socket.create_connection(("127.0.0.1", server.port), timeout=5))
+        _wait_for(lambda: len(server._open) == 2)
+        with pytest.raises(RemoteRejected):
+            send_file("127.0.0.1", server.port, source, timeout=5)
+    assert list((tmp_path / "inbox").iterdir()) == []
+
+
+def test_sequential_sends_start_no_thread_per_connection(tmp_path, monkeypatch):
+    source = tmp_path / "loop.wav"
+    source.write_bytes(os.urandom(5000))
+    starts = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    with FileReceiver(0, tmp_path / "inbox") as server:
+        for _ in range(50):
+            send_file("127.0.0.1", server.port, source, timeout=5)
+    assert len(starts) <= 2
+    assert len(list((tmp_path / "inbox").iterdir())) == 50
 
 
 def _limit_descriptors():
     import resource
 
-    resource.setrlimit(resource.RLIMIT_NOFILE, (32, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+    resource.setrlimit(resource.RLIMIT_NOFILE, (16, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="limits the child's descriptors")
 def test_receiver_keeps_accepting_after_descriptors_run_out(tmp_path):
-    # 32 idle peers use up a child limited to 32 descriptors, so accept() fails
-    # with EMFILE until they leave; then the receiver must serve the next file
+    # a child limited to 16 descriptors has fewer than MAX_CONNECTIONS free,
+    # so that many idle peers use them up before the cap refuses any, and
+    # accept() fails with EMFILE until they leave; once the child has closed
+    # their connections the receiver must serve the next file
     source = tmp_path / "after.wav"
     source.write_bytes(os.urandom(5000))
     inbox = tmp_path / "inbox"
     with recv_child(inbox, _limit_descriptors) as (child, port):
+        descriptors = f"/proc/{child.pid}/fd"
+        idle = len(os.listdir(descriptors))
         with contextlib.ExitStack() as peers:
-            for _ in range(32):
+            for _ in range(transfer.MAX_CONNECTIONS):
                 peers.enter_context(socket.create_connection(("127.0.0.1", port), timeout=5))
             assert b"accept failed: [Errno 24]" in read_line(child.stderr, 5)
+        _wait_for(lambda: len(os.listdir(descriptors)) == idle)
         assert send_file("127.0.0.1", port, source, timeout=5) > 0
         child.send_signal(signal.SIGINT)
         child.communicate(timeout=5)
@@ -456,7 +538,7 @@ def test_receiver_keeps_accepting_after_descriptors_run_out(tmp_path):
     assert (inbox / "after.wav").read_bytes() == source.read_bytes()
 
 
-def test_a_worker_that_cannot_start_costs_only_its_connection(tmp_path, monkeypatch, caplog):
+def test_a_thread_that_cannot_start_costs_no_connection(tmp_path, monkeypatch, caplog):
     source = tmp_path / "twice.wav"
     source.write_bytes(os.urandom(5000))
     inbox = tmp_path / "inbox"
@@ -471,13 +553,13 @@ def test_a_worker_that_cannot_start_costs_only_its_connection(tmp_path, monkeypa
 
     with FileReceiver(0, inbox) as server:
         monkeypatch.setattr(transfer.threading, "Thread", FailsOnce)
-        with pytest.raises(TransferIoError):
-            send_file("127.0.0.1", server.port, source, timeout=5)
-        assert list(inbox.iterdir()) == []
+        send_file("127.0.0.1", server.port, source, timeout=5)
         send_file("127.0.0.1", server.port, source, timeout=5)
         server.stop()
-        assert not server._workers
+        assert refused
+        assert not any(thread.is_alive() for thread in server._threads)
     assert (inbox / "twice.wav").read_bytes() == source.read_bytes()
+    assert (inbox / "twice-1.wav").read_bytes() == source.read_bytes()
     assert any("can't start new thread" in r.getMessage() for r in caplog.records
                if r.levelno == logging.WARNING)
 
