@@ -125,8 +125,7 @@ def waveform_compare(a, b, max_lag: int) -> tuple[float, int]:
         raise EmptyInput("waveform comparison needs non-empty signals")
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    scratch = np.empty(min(BLOCK_SAMPLES, max(xs.size, ys.size)))  # made once per call
-    denom = math.sqrt(_energy(xs, scratch) * _energy(ys, scratch))
+    denom = math.sqrt(_energy(xs) * _energy(ys))
     if denom == 0.0:
         return 0.0, 0
     # past the overlap every lag scores 0.0, so one such lag per side is enough
@@ -142,8 +141,10 @@ def _as_samples(values) -> np.ndarray:
     return values if isinstance(values, np.ndarray) else np.asarray(values, dtype=np.float64)
 
 
-def _energy(values: np.ndarray, scratch: np.ndarray) -> float:
-    """sum(values[t] ** 2), by float64 dots over blocks copied into `scratch`."""
+def _energy(values: np.ndarray) -> float:
+    """sum(values[t] ** 2), by float64 dots over blocks copied into one
+    scratch, which is gone before the lag pass makes its own."""
+    scratch = np.empty(min(BLOCK_SAMPLES, values.size))
     total = 0.0
     for lo, hi in _walk(values.size, BLOCK_SAMPLES, (values, 0, 1)):
         block = scratch[: hi - lo]
