@@ -474,6 +474,28 @@ def test_connection_over_the_cap_is_answered_at_once(tmp_path, monkeypatch):
         assert len(server._threads) == 3
 
 
+def test_senders_over_the_cap_lose_no_slot_and_start_no_extra_thread(tmp_path, monkeypatch):
+    # four times as many senders as slots, with threads switching as often
+    # as they can: each file is stored or refused, every slot is given back
+    # and no more than MAX_CONNECTIONS + 1 threads exist
+    monkeypatch.setattr(transfer, "MAX_CONNECTIONS", 3)
+    inbox = tmp_path / "inbox"
+    frames = [encode_frame(f"c{i}.wav", os.urandom(20000 + i)) for i in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with FileReceiver(0, inbox) as server:
+            with ThreadPoolExecutor(max_workers=len(frames)) as pool:
+                acks = list(pool.map(lambda frame: _raw_exchange(server.port, frame), frames))
+            _wait_for(lambda: not server._open)
+            assert len(server._threads) <= 4
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(acks) <= {ACK_OK, ACK_REJECTED}
+    assert {p.name for p in inbox.iterdir()} == {
+        f"c{i}.wav" for i, ack in enumerate(acks) if ack == ACK_OK}
+
+
 def test_early_rejection_of_a_streamed_send_is_read(tmp_path, monkeypatch):
     # the receiver answers 0x01 and closes with the body unread; the body
     # is more than the socket buffers hold, so the sender's sendfile is
