@@ -114,10 +114,10 @@ def waveform_compare(a, b, max_lag: int) -> tuple[float, int]:
     overlap. Ties prefer the smaller |lag|, then the negative one. Zero
     total energy on either side yields (0.0, 0).
 
-    The numerators are taken by matrix products over blocks (`_lag_dots`),
-    the energies by float64 dots over blocks (`_energy`); for 16-bit
-    samples every partial sum is an exact integer, so both are those of
-    one whole-signal float64 dot wherever that dot is exact.
+    Sums are taken by matrix products over blocks (`_lag_dots`), an
+    energy being a signal's lag-0 dot with itself; for 16-bit samples
+    every partial sum is an exact integer, so the numerators and energies
+    are those of one whole-signal float64 dot wherever that dot is exact.
     """
     xs = _as_samples(a)
     ys = _as_samples(b)
@@ -125,7 +125,7 @@ def waveform_compare(a, b, max_lag: int) -> tuple[float, int]:
         raise EmptyInput("waveform comparison needs non-empty signals")
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    denom = math.sqrt(_energy(xs) * _energy(ys))
+    denom = math.sqrt(_lag_dots(xs, xs, range(1))[0] * _lag_dots(ys, ys, range(1))[0])
     if denom == 0.0:
         return 0.0, 0
     # past the overlap every lag scores 0.0, so one such lag per side is enough
@@ -139,18 +139,6 @@ def _as_samples(values) -> np.ndarray:
     """An ndarray as it is, since blocks are converted one at a time;
     anything else as float64."""
     return values if isinstance(values, np.ndarray) else np.asarray(values, dtype=np.float64)
-
-
-def _energy(values: np.ndarray) -> float:
-    """sum(values[t] ** 2), by float64 dots over blocks copied into one
-    scratch, which is gone before the lag pass makes its own."""
-    scratch = np.empty(min(BLOCK_SAMPLES, values.size))
-    total = 0.0
-    for lo, hi in _walk(values.size, BLOCK_SAMPLES, (values, 0, 1)):
-        block = scratch[: hi - lo]
-        np.copyto(block, values[lo:hi])
-        total += float(np.dot(block, block))
-    return total
 
 
 def _lag_dots(xs: np.ndarray, ys: np.ndarray, lags: range) -> list[float | None]:

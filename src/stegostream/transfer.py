@@ -331,6 +331,9 @@ class FileReceiver:
             return self._handle(conn, addr)
         except _PeerClosed:
             log.info("connection from %s closed before its frame ended", addr)
+        except OSError as exc:  # a timeout, a full disk, no free descriptor
+            log.warning("rejecting %s: %s", addr, exc)
+            return ACK_REJECTED
         except Exception:
             log.warning("connection from %s failed", addr, exc_info=True)
         finally:

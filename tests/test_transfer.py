@@ -540,19 +540,16 @@ def _limit_descriptors():
 def test_receiver_keeps_accepting_after_descriptors_run_out(tmp_path):
     # a child limited to 16 descriptors has fewer than MAX_CONNECTIONS free,
     # so that many idle peers use them up before the cap refuses any, and
-    # accept() fails with EMFILE until they leave; once the child has closed
-    # their connections the receiver must serve the next file
+    # accept() fails with EMFILE until they leave; then the receiver must
+    # serve the next file
     source = tmp_path / "after.wav"
     source.write_bytes(os.urandom(5000))
     inbox = tmp_path / "inbox"
     with recv_child(inbox, _limit_descriptors) as (child, port):
-        descriptors = f"/proc/{child.pid}/fd"
-        idle = len(os.listdir(descriptors))
         with contextlib.ExitStack() as peers:
             for _ in range(transfer.MAX_CONNECTIONS):
                 peers.enter_context(socket.create_connection(("127.0.0.1", port), timeout=5))
             assert b"accept failed: [Errno 24]" in read_line(child.stderr, 5)
-        _wait_for(lambda: len(os.listdir(descriptors)) == idle)
         assert send_file("127.0.0.1", port, source, timeout=5) > 0
         child.send_signal(signal.SIGINT)
         child.communicate(timeout=5)
@@ -584,6 +581,29 @@ def test_a_thread_that_cannot_start_costs_no_connection(tmp_path, monkeypatch, c
     assert (inbox / "twice-1.wav").read_bytes() == source.read_bytes()
     assert any("can't start new thread" in r.getMessage() for r in caplog.records
                if r.levelno == logging.WARNING)
+
+
+def test_a_connection_that_fails_with_an_os_error_is_rejected(tmp_path, monkeypatch):
+    # no free descriptor for the temp file must get an explicit 0x01, not a
+    # reset, and cost only that connection
+    source = tmp_path / "spare.wav"
+    source.write_bytes(os.urandom(5000))
+    inbox = tmp_path / "inbox"
+    opened = []
+    temp_file = transfer.tempfile.NamedTemporaryFile
+
+    def fails_once(*args, **kwargs):
+        opened.append(None)
+        if len(opened) == 1:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return temp_file(*args, **kwargs)
+
+    monkeypatch.setattr(transfer.tempfile, "NamedTemporaryFile", fails_once)
+    with FileReceiver(0, inbox) as server:
+        with pytest.raises(RemoteRejected):
+            send_file("127.0.0.1", server.port, source, timeout=5)
+        send_file("127.0.0.1", server.port, source, timeout=5)
+    assert [p.name for p in inbox.iterdir()] == ["spare.wav"]
 
 
 @st.composite
