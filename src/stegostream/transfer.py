@@ -22,8 +22,9 @@ The receiver streams the payload through one reused buffer of at most
 verifies, under the first free one of MAX_NAME_CANDIDATES names, and
 answers one acknowledgment byte: 0x00 accepted, 0x01 rejected. A refused
 name, or a body larger than any WAV file, is answered at the header,
-before any body byte is read. Frames with a bad magic are dropped without
-an acknowledgment.
+before any body byte is read. A connection that fails with an OSError is
+answered 0x01 too. Frames with a bad magic are dropped without an
+acknowledgment.
 Up to MAX_CONNECTIONS connections are served at once, each by a thread
 that accepted it itself; threads are started only as the load needs them
 and are reused. One more connection is answered 0x01 at once, and a
